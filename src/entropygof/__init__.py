@@ -31,13 +31,14 @@ from .kstest import (
     lilliefors_critical,
     run_ks_test,
 )
-from .maxent import MaxEntSolution, cressie_read, et_statistic, solve_maxent
+from .maxent import MaxEntSolution, solve_maxent
 from .moments import (
     MomentConstraint,
     build_cauchy_sin_constraint,
     build_cf_constraint,
     build_standard_normal_constraint,
     normal_cf_integral,
+    null_constraint,
     run_et_test,
     sinc_kernel,
     standardize,
@@ -51,7 +52,6 @@ from .numerics import (
     erfc,
     integrate,
     normal_cdf,
-    normal_pdf,
     normal_quantile,
 )
 from .regression import (

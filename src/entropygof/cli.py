@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .harness import (
@@ -25,20 +26,16 @@ from .harness import (
     run_power_study,
 )
 from .kstest import CalibrationCache, ks_critical_simple, lilliefors_critical, run_ks_test
-from .moments import (
-    MomentConstraint,
-    build_cauchy_sin_constraint,
-    build_standard_normal_constraint,
-    run_et_test,
-    sinc_kernel,
-    standardize,
-)
+from .moments import MomentConstraint, null_constraint, run_et_test, sinc_kernel, standardize
 from .regression import LinearModelSpec
 from .results import TestResult
 from .sampling import Cauchy, Normal, cdf
 from .tables import TABLE_NAMES, reference_value, table_config
 
 SEED_ENV_VAR = "ENTROPYGOF_SEED"
+
+# --null choices with a distribution; --mu and --sigma are its location and scale
+_NULLS = {"normal": Normal, "cauchy": Cauchy}
 
 USAGE_ERROR = 2
 
@@ -85,27 +82,20 @@ def _print_report(result: TestResult, n: int) -> None:
 def _cmd_test(args: argparse.Namespace) -> int:
     data = read_data_file(args.data)
     n = len(data)
-    z = standardize(data, args.mu, args.sigma)
-    if args.method == "et":
-        if args.null == "normal":
-            constraint = build_standard_normal_constraint()
-        elif args.null == "cauchy":
-            constraint = build_cauchy_sin_constraint()
-        else:
-            if args.cf_integral is None:
-                raise CliError("--null custom-cf-integral requires --cf-integral VALUE")
-            constraint = MomentConstraint(
-                kernel=sinc_kernel, target=args.cf_integral, label="cf-custom"
-            )
-        result = run_et_test(z, constraint, alpha=args.alpha)
-    else:
-        if args.null == "normal":
-            null_cdf = lambda x: cdf(Normal(0.0, 1.0), x)  # noqa: E731
-        elif args.null == "cauchy":
-            null_cdf = lambda x: cdf(Cauchy(0.0, 1.0), x)  # noqa: E731
-        else:
+    if args.null == "custom-cf-integral":
+        if args.method == "ks":
             raise CliError("the ks method needs a full CDF; use --null normal or cauchy")
-        result = run_ks_test(z, null_cdf, ks_critical_simple(n, args.alpha))
+        if args.cf_integral is None:
+            raise CliError("--null custom-cf-integral requires --cf-integral VALUE")
+        loc, scale = args.mu, args.sigma
+        constraint = MomentConstraint(kernel=sinc_kernel, target=args.cf_integral, label="cf-custom")
+    else:
+        null = _NULLS[args.null](args.mu, args.sigma)
+        loc, scale, constraint = null_constraint(null)
+    if args.method == "et":
+        result = run_et_test(standardize(data, loc, scale), constraint, alpha=args.alpha)
+    else:
+        result = run_ks_test(data, partial(cdf, null), ks_critical_simple(n, args.alpha))
     _print_report(result, n)
     return 1 if result.reject else 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .kstest import CalibrationCache, KsCriticalTable, ks_critical_simple, ks_statistic, lilliefors_critical
 from .maxent import solve_maxent
-from .moments import build_cauchy_sin_constraint, build_standard_normal_constraint, standardize
+from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
 from .regression import LinearModelSpec, ols_fit, ratio_transform, simulate_model, standardized_residuals
 from .sampling import (
@@ -53,11 +53,92 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-TEST_KINDS = ("et-simple", "ks-simple", "et-regression", "ks-regression")
 DEFAULT_SEED = 123456789
 _ROW_STRIDE = 1 << 32
 
 CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
+
+
+@dataclass(frozen=True)
+class TestKind:
+    """One test of a power study, defined once.
+
+    context(config, cache) runs once per study, before any trial, and
+    returns what every trial needs (it travels to the workers inside each
+    chunk); statistic(context, alt, n, seed) runs one trial;
+    critical(context, alpha, n) is a row's critical value.  A trial
+    rejects when its statistic exceeds the critical value.  Entries call
+    the layer functions by their names in this module, so tracing that
+    rebinds those names sees every call.
+    """
+
+    regression: bool
+    min_n: int
+    context: Callable
+    statistic: Callable
+    critical: Callable
+
+
+def _chi2_critical(context, alpha: float, n: int) -> float:
+    return chi2_1_critical(alpha)
+
+
+def _et_simple_context(config: PowerStudyConfig, cache) -> tuple:
+    # the quadrature target is computed here once and shipped as an exact float
+    return null_constraint(config.null_spec)
+
+
+def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
+    mu, sigma, constraint = context
+    return solve_maxent(constraint.values(standardize(sample(alt, n, seed), mu, sigma))).statistic
+
+
+def _ks_simple_context(config: PowerStudyConfig, cache) -> Callable:
+    return partial(cdf, config.null_spec)
+
+
+def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
+    return ks_statistic(sample(alt, n, seed), null_cdf)
+
+
+def _ks_simple_critical(context, alpha: float, n: int) -> float:
+    return ks_critical_simple(n, alpha)
+
+
+def _et_regression_context(config: PowerStudyConfig, cache) -> LinearModelSpec:
+    return config.null_spec
+
+
+def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
+    y, X = simulate_model(model, n, seed, error_process=alt)
+    z = ratio_transform(ols_fit(y, X).residuals)
+    return solve_maxent(np.sin(z)).statistic
+
+
+def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:
+    return config.null_spec, ensure_lilliefors_table(config, cache)
+
+
+def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
+    y, X = simulate_model(context[0], n, seed, error_process=alt)
+    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
+
+
+def _ks_regression_critical(context, alpha: float, n: int) -> float:
+    return context[1].critical_for(n)
+
+
+TEST_KINDS: dict[str, TestKind] = {
+    # name: TestKind(regression, min_n, context, statistic, critical)
+    "et-simple": TestKind(False, 2, _et_simple_context, _et_simple_statistic, _chi2_critical),
+    "ks-simple": TestKind(False, 1, _ks_simple_context, _ks_simple_statistic, _ks_simple_critical),
+    "et-regression": TestKind(True, 4, _et_regression_context, _et_regression_statistic, _chi2_critical),
+    "ks-regression": TestKind(True, 4, _ks_regression_context, _ks_regression_statistic, _ks_regression_critical),
+}
+
+# the nulls of a simple study have a marginal distribution; et-simple's
+# context also needs a CF constraint for its null, which null_constraint checks
+_SIMPLE_NULLS = (Normal, Uniform, Exponential, Cauchy, StudentT, CenteredLogNormal)
 
 
 @dataclass(frozen=True)
@@ -76,32 +157,24 @@ class PowerStudyConfig:
 
     def __post_init__(self) -> None:
         if self.test not in TEST_KINDS:
-            raise ValueError(f"test must be one of {TEST_KINDS}")
+            raise ValueError(f"test must be one of {tuple(TEST_KINDS)}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be positive")
-        if self.is_regression:
-            if not isinstance(self.null_spec, LinearModelSpec):
-                raise ValueError("regression tests need a LinearModelSpec null")
-            if any(n < 4 for n in self.sample_sizes):
-                raise ValueError("regression tests need sample sizes >= 4")
-            for alt in self.alternatives:
-                if isinstance(alt, LinearModelSpec):
-                    raise ValueError("alternatives are error processes, not model specs")
-        else:
-            if isinstance(self.null_spec, LinearModelSpec):
-                raise ValueError("simple tests need a distribution null")
+        kind = TEST_KINDS[self.test]
+        if not self.sample_sizes or any(n < kind.min_n for n in self.sample_sizes):
+            raise ValueError(f"{self.test} needs sample sizes >= {kind.min_n}")
+        if kind.regression and not isinstance(self.null_spec, LinearModelSpec):
+            raise ValueError("regression tests need a LinearModelSpec null")
+        if not kind.regression and not isinstance(self.null_spec, _SIMPLE_NULLS):
+            raise ValueError("simple tests need an iid distribution null, not a model or a process")
+        if any(isinstance(alt, LinearModelSpec) for alt in self.alternatives):
+            raise ValueError("alternatives are distributions or error processes, not model specs")
         if self.labels is not None and len(self.labels) != len(self.alternatives):
             raise ValueError("labels must match alternatives one-to-one")
-
-    @property
-    def is_regression(self) -> bool:
-        return self.test.endswith("-regression")
 
     def row_label(self, alt_index: int) -> str:
         if self.labels is not None:
@@ -148,92 +221,37 @@ class PowerTable:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial test functions
+# Study engine
 # ---------------------------------------------------------------------------
-
-
-def _simple_et_ingredients(null_spec: DistributionSpec):
-    if isinstance(null_spec, Normal):
-        constraint = build_standard_normal_constraint()
-        return null_spec.mu, null_spec.sigma, constraint
-    if isinstance(null_spec, Cauchy):
-        constraint = build_cauchy_sin_constraint()
-        return null_spec.loc, null_spec.scale, constraint
-    raise ValueError("the simple entropy test supports normal or cauchy nulls")
-
-
-def _trial_reject(
-    test: str,
-    alt: DistributionSpec,
-    n: int,
-    seed: SeedSpec,
-    alpha: float,
-    null_spec,
-    critical: float,
-) -> bool:
-    if test == "et-simple":
-        mu, sigma, constraint = null_spec
-        data = standardize(sample(alt, n, seed), mu, sigma)
-        g = constraint.values(data)
-        return solve_maxent(g).statistic > critical
-    if test == "ks-simple":
-        data = sample(alt, n, seed)
-        return ks_statistic(data, partial(cdf, null_spec)) > critical
-    if test == "et-regression":
-        y, X = simulate_model(null_spec, n, seed, error_process=alt)
-        fit = ols_fit(y, X)
-        z = ratio_transform(fit.residuals)
-        return solve_maxent(np.sin(z)).statistic > critical
-    if test == "ks-regression":
-        y, X = simulate_model(null_spec, n, seed, error_process=alt)
-        fit = ols_fit(y, X)
-        return ks_statistic(standardized_residuals(fit), normal_cdf) > critical
-    raise ValueError(f"unknown test kind {test!r}")
 
 
 def _run_chunk(payload) -> tuple[int, int]:
     """(rejections, failures) over one contiguous trial range; worker-safe."""
-    test, alt, n, alpha, master_seed, row_idx, t_start, t_stop, null_spec, critical = payload
-    if test == "et-simple":
-        # rebuild the constraint locally: quadrature targets are exact reproducible floats
-        null_spec = _simple_et_ingredients(null_spec)
+    test, alt, n, master_seed, row_idx, t_start, t_stop, context, critical = payload
+    statistic = TEST_KINDS[test].statistic
     rejections = 0
     failures = 0
     base = row_idx * _ROW_STRIDE
     for t in range(t_start, t_stop):
         seed = SeedSpec(master_seed, base + t)
         try:
-            rejections += _trial_reject(test, alt, n, seed, alpha, null_spec, critical)
+            rejections += statistic(context, alt, n, seed) > critical
         except Exception:
             failures += 1
     return rejections, failures
-
-
-def _row_critical(config: PowerStudyConfig, n: int, table: KsCriticalTable | None) -> float:
-    if config.test in ("et-simple", "et-regression"):
-        return chi2_1_critical(config.alpha)
-    if config.test == "ks-simple":
-        return ks_critical_simple(n, config.alpha)
-    assert table is not None
-    return table.critical_for(n)
 
 
 def ensure_lilliefors_table(
     config: PowerStudyConfig, cache: CalibrationCache | None = None
 ) -> KsCriticalTable:
     """Calibrated criticals for every sample size of a ks-regression study."""
-    model = config.null_spec
-    assert isinstance(model, LinearModelSpec)
     entries = {
-        n: lilliefors_critical(model, n, config.alpha, config.lilliefors_trials, config.master_seed, cache)
+        n: lilliefors_critical(
+            config.null_spec, n, config.alpha, config.lilliefors_trials, config.master_seed, cache
+        )
         for n in config.sample_sizes
     }
-    return KsCriticalTable(
-        alpha=config.alpha,
-        entries=entries,
-        calibration_trials=config.lilliefors_trials,
-        seed=SeedSpec(config.master_seed, 0),
-    )
+    return KsCriticalTable(alpha=config.alpha, entries=entries)
 
 
 def run_power_study(
@@ -250,15 +268,8 @@ def run_power_study(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    table: KsCriticalTable | None = None
-    if config.test == "ks-regression":
-        table = ensure_lilliefors_table(config, cache)
-
-    if config.test == "et-simple":
-        null_payload: object = config.null_spec
-        _simple_et_ingredients(config.null_spec)  # validate before dispatch
-    else:
-        null_payload = config.null_spec
+    kind = TEST_KINDS[config.test]
+    context = kind.context(config, cache)
 
     rows: list[PowerRow] = []
     row_specs = [
@@ -269,10 +280,10 @@ def run_power_study(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for row_idx, (alt_idx, alt, n) in enumerate(row_specs):
-            critical = _row_critical(config, n, table)
+            critical = kind.critical(context, config.alpha, n)
             bounds = np.linspace(0, config.trials, (workers if pool else 1) + 1).astype(int)
             payloads = [
-                (config.test, alt, n, config.alpha, config.master_seed, row_idx, int(lo), int(hi), null_payload, critical)
+                (config.test, alt, n, config.master_seed, row_idx, int(lo), int(hi), context, critical)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
@@ -445,7 +456,8 @@ def parse_distribution(text: str, innovation: DistributionSpec | None = None) ->
     except ValueError as exc:
         raise ValueError(f"bad distribution parameters in {text!r}") from exc
     if tag in ("normal", "n"):
-        mu, sigma = (vals + [0.0, 1.0])[:2] if vals else (0.0, 1.0)
+        mu = vals[0] if vals else 0.0
+        sigma = vals[1] if len(vals) > 1 else 1.0
         return Normal(mu, sigma)
     if tag == "uniform":
         if len(vals) != 2:
@@ -504,14 +516,14 @@ def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
     test = pairs["test"].strip().lower()
     if test not in TEST_KINDS:
-        raise ValueError(f"config field 'test' must be one of {TEST_KINDS}")
+        raise ValueError(f"config field 'test' must be one of {tuple(TEST_KINDS)}")
     alpha = float(pairs.get("alpha", "0.05"))
     trials = int(pairs.get("trials", "10000"))
     master_seed = int(pairs.get("master_seed", str(DEFAULT_SEED)))
     sample_sizes = tuple(int(v) for v in _split_list(pairs["sample_sizes"]))
     labels = tuple(_split_list(pairs["labels"])) if "labels" in pairs else None
 
-    if test.endswith("-regression"):
+    if TEST_KINDS[test].regression:
         beta = tuple(float(v) for v in _split_list(pairs.get("beta", "1, 5")))
         sigma2 = float(pairs.get("sigma2", "4"))
         innovation = Normal(0.0, math.sqrt(sigma2))

@@ -128,8 +128,6 @@ class KsCriticalTable:
 
     alpha: float
     entries: dict[int, float] = field(default_factory=dict)
-    calibration_trials: int = 0
-    seed: SeedSpec = SeedSpec(0, 0)
 
     def critical_for(self, n: int) -> float:
         try:

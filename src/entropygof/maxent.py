@@ -1,5 +1,4 @@
-"""Constrained maximum-entropy weights, the entropy test statistic, and the
-power-divergence family.
+"""Constrained maximum-entropy weights and the entropy test statistic.
 
 The primal problem -- maximize -sum pi_j ln(pi_j) subject to
 sum pi_j g_j = 0 and sum pi_j = 1 -- has the closed-form exponential-tilt
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MaxEntSolution", "solve_maxent", "et_statistic", "cressie_read"]
+__all__ = ["MaxEntSolution", "solve_maxent"]
 
 _MAX_ITER = 200
 _FEASIBILITY_MARGIN = 1e-14
@@ -161,41 +160,3 @@ def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
         residual=abs(mean),
         iterations=iterations,
     )
-
-
-def et_statistic(solution: MaxEntSolution, n: int) -> float:
-    """Entropy test statistic 2n sum pi_j ln(n pi_j) from solved weights.
-
-    Equals 2n times the KL divergence of the weights from uniform; zero
-    exactly when the weights are uniform.  Non-converged solutions keep
-    their infinite marker.
-    """
-    if not solution.converged:
-        return math.inf
-    pi = np.asarray(solution.weights, dtype=np.float64)
-    if n != pi.size:
-        raise ValueError("n must equal the weight-vector length")
-    terms = np.where(pi > 0.0, pi * np.log(np.maximum(pi * n, 1e-300)), 0.0)
-    return float(max(2.0 * n * terms.sum(), 0.0))
-
-
-def cressie_read(p, q, gamma: float) -> float:
-    """Power divergence between probability vectors p and q.
-
-    I(p, q, gamma) = 1/(gamma(gamma+1)) * sum p_j [(p_j/q_j)^gamma - 1],
-    with the analytic limits at gamma = 0 (forward KL) and gamma = -1
-    (reverse KL).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("p and q must be vectors of equal length")
-    if np.any(p <= 0.0) or np.any(q <= 0.0):
-        raise ValueError("p and q must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-10 or abs(q.sum() - 1.0) > 1e-10:
-        raise ValueError("p and q must each sum to 1")
-    if gamma == 0.0:
-        return float(p @ np.log(p / q))
-    if gamma == -1.0:
-        return float(q @ np.log(q / p))
-    return float(p @ ((p / q) ** gamma - 1.0)) / (gamma * (gamma + 1.0))

@@ -11,15 +11,15 @@ functions after integrating out t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .maxent import solve_maxent
-from .numerics import QuadratureSpec, chi2_1_critical, chi2_1_sf, integrate
-from .results import TestResult
+from .numerics import QuadratureSpec, integrate
+from .results import TestResult, chi2_1_decision
+from .sampling import Cauchy, Normal
 
 __all__ = [
     "MomentConstraint",
@@ -28,6 +28,7 @@ __all__ = [
     "build_standard_normal_constraint",
     "build_cauchy_sin_constraint",
     "build_cf_constraint",
+    "null_constraint",
     "standardize",
     "run_et_test",
 ]
@@ -102,6 +103,19 @@ def build_cf_constraint(cf_real: Callable, label: str = "cf-custom") -> MomentCo
     return MomentConstraint(kernel=sinc_kernel, target=target, label=label)
 
 
+def null_constraint(null: Normal | Cauchy) -> tuple[float, float, MomentConstraint]:
+    """Location, scale and standardized-data constraint of a simple null.
+
+    Data are standardized by (location, scale) before the constraint is
+    evaluated; the normal and Cauchy families are supported.
+    """
+    if isinstance(null, Normal):
+        return null.mu, null.sigma, build_standard_normal_constraint()
+    if isinstance(null, Cauchy):
+        return null.loc, null.scale, build_cauchy_sin_constraint()
+    raise ValueError("the simple entropy test supports normal or cauchy nulls")
+
+
 def standardize(data, mu: float, sigma: float) -> np.ndarray:
     """Elementwise (z - mu) / sigma."""
     if not sigma > 0:
@@ -117,15 +131,5 @@ def run_et_test(data, constraint: MomentConstraint, alpha: float = 0.05) -> Test
     constraint -- all g on one side of zero -- counts as an infinite
     statistic and hence a rejection.
     """
-    g = constraint.values(data)
-    solution = solve_maxent(g)
-    stat = solution.statistic
-    critical = chi2_1_critical(alpha)
-    p_value = 0.0 if math.isinf(stat) else chi2_1_sf(stat)
-    return TestResult(
-        statistic=stat,
-        critical=critical,
-        p_value=p_value,
-        reject=bool(stat > critical),
-        method=f"et[{constraint.label}]",
-    )
+    statistic = solve_maxent(constraint.values(data)).statistic
+    return chi2_1_decision(statistic, alpha, f"et[{constraint.label}]")

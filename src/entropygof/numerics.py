@@ -25,7 +25,6 @@ __all__ = [
     "erf",
     "erfc",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "chi2_1_critical",
     "chi2_1_sf",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # ---------------------------------------------------------------------------
 # erf / erfc: rational approximations after W. J. Cody (1969), as in the
@@ -178,13 +176,6 @@ def normal_cdf(x):
     """Standard normal CDF."""
     arr, scalar = _as_float_array(x)
     out = 0.5 * erfc(-np.atleast_1d(arr) / SQRT2)
-    return float(out[0]) if scalar else out
-
-
-def normal_pdf(x):
-    """Standard normal density."""
-    arr, scalar = _as_float_array(x)
-    out = INV_SQRT_2PI * np.exp(-0.5 * np.atleast_1d(arr) ** 2)
     return float(out[0]) if scalar else out
 
 

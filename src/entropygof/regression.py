@@ -22,8 +22,8 @@ import numpy as np
 
 from .kstest import KsCriticalTable, ks_statistic
 from .maxent import solve_maxent
-from .numerics import chi2_1_critical, chi2_1_sf, normal_cdf
-from .results import TestResult
+from .numerics import normal_cdf
+from .results import TestResult, chi2_1_decision
 from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, uniform_open01
 
 __all__ = [
@@ -134,17 +134,7 @@ def run_regression_et(y, X, alpha: float = 0.05) -> TestResult:
     """
     fit = ols_fit(y, X)
     z = ratio_transform(fit.residuals)
-    solution = solve_maxent(np.sin(z))
-    stat = solution.statistic
-    critical = chi2_1_critical(alpha)
-    p_value = 0.0 if math.isinf(stat) else chi2_1_sf(stat)
-    return TestResult(
-        statistic=stat,
-        critical=critical,
-        p_value=p_value,
-        reject=bool(stat > critical),
-        method="et-regression",
-    )
+    return chi2_1_decision(solve_maxent(np.sin(z)).statistic, alpha, "et-regression")
 
 
 def run_regression_ks(y, X, alpha: float, critical_table: KsCriticalTable) -> TestResult:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .numerics import chi2_1_critical, chi2_1_sf
 
 
 @dataclass(frozen=True)
@@ -28,3 +31,18 @@ class TestResult:
             f"decision: {'reject' if self.reject else 'do not reject'}",
         ]
         return lines
+
+
+def chi2_1_decision(statistic: float, alpha: float, method: str) -> TestResult:
+    """Refer an entropy statistic to chi-square(1) at level alpha.
+
+    An infinite statistic (an infeasible constraint) rejects with p-value 0.
+    """
+    critical = chi2_1_critical(alpha)
+    return TestResult(
+        statistic=statistic,
+        critical=critical,
+        p_value=0.0 if math.isinf(statistic) else chi2_1_sf(statistic),
+        reject=bool(statistic > critical),
+        method=method,
+    )

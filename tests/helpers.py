@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: the simplex oracle
 enumerates feasible weight vectors on a grid and never touches the dual
-solver; the erf oracle is a plain Maclaurin series.
+solver; the KL oracle computes the entropy statistic from the weights
+instead of the dual identity the solver uses; the erf oracle is a plain
+Maclaurin series.
 """
 
 from __future__ import annotations
@@ -21,6 +23,22 @@ def erf_series(x: float, terms: int = 60) -> float:
         acc += term / (2 * k + 1)
         term *= -x * x / (k + 1)
     return 2.0 / math.sqrt(math.pi) * acc
+
+
+def et_statistic(solution, n: int) -> float:
+    """Entropy test statistic 2n sum pi_j ln(n pi_j) from solved weights.
+
+    Equals 2n times the KL divergence of the weights from uniform; zero
+    exactly when the weights are uniform.  Non-converged solutions keep
+    their infinite marker.
+    """
+    if not solution.converged:
+        return math.inf
+    pi = np.asarray(solution.weights, dtype=np.float64)
+    if n != pi.size:
+        raise ValueError("n must equal the weight-vector length")
+    terms = np.where(pi > 0.0, pi * np.log(np.maximum(pi * n, 1e-300)), 0.0)
+    return float(max(2.0 * n * terms.sum(), 0.0))
 
 
 def normal_cdf_series(x: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,19 @@ class TestConfigValidation:
         cfg = small_config(null_spec=Uniform(0, 1))
         with pytest.raises(ValueError):
             hz.run_power_study(cfg)
+
+    def test_ks_simple_null_needs_cdf(self):
+        with pytest.raises(ValueError, match="null"):
+            small_config(test="ks-simple", null_spec=ARProcess((0.5,)))
+
+    def test_simple_rejects_model_alternative(self):
+        model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
+        with pytest.raises(ValueError, match="alternatives"):
+            small_config(alternatives=(Normal(0, 1), model))
+
+    def test_et_simple_min_n(self):
+        with pytest.raises(ValueError, match="sample sizes"):
+            small_config(sample_sizes=(1, 25))
 
 
 class TestRunPowerStudy:
@@ -162,7 +176,8 @@ class TestRunPowerStudy:
         def explode(*args, **kwargs):
             raise FloatingPointError("boom")
 
-        monkeypatch.setattr(hz, "_trial_reject", explode)
+        kind = hz.TEST_KINDS["et-simple"]
+        monkeypatch.setitem(hz.TEST_KINDS, "et-simple", replace(kind, statistic=explode))
         with pytest.raises(RuntimeError, match="0.1%"):
             hz.run_power_study(small_config())
 
@@ -171,6 +186,48 @@ class TestRunPowerStudy:
         hz.run_power_study(small_config(sample_sizes=(25,)), progress=seen.append)
         assert len(seen) == 2
         assert all(isinstance(r, hz.PowerRow) for r in seen)
+
+
+_PIN_MODEL = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
+_PIN_REG_ALTS = (Normal(0, 2), ARProcess((0.5,), Normal(0, 2)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "test,kw,rejections",
+    [
+        pytest.param(
+            "et-simple",
+            dict(alternatives=(Normal(0, 1), StudentT(3, 1.0)), sample_sizes=(25, 100)),
+            [16, 12, 65, 171],
+            id="et-simple",
+        ),
+        pytest.param(
+            "ks-simple",
+            dict(alternatives=(Normal(0, 1), Cauchy(0, 1)), sample_sizes=(25, 100)),
+            [7, 7, 43, 169],
+            id="ks-simple",
+        ),
+        pytest.param(
+            "et-regression",
+            dict(alternatives=_PIN_REG_ALTS, sample_sizes=(50, 100), null_spec=_PIN_MODEL),
+            [15, 19, 61, 106],
+            id="et-regression",
+        ),
+        pytest.param(
+            "ks-regression",
+            dict(alternatives=_PIN_REG_ALTS, sample_sizes=(50, 100), null_spec=_PIN_MODEL),
+            [10, 15, 13, 9],
+            id="ks-regression",
+        ),
+    ],
+)
+def test_pinned_rejection_counts(test, kw, rejections, workers):
+    """Exact counts of a tiny study per test kind, fixed by the stream layout."""
+    cfg = hz.PowerStudyConfig(test=test, trials=200, master_seed=2024, lilliefors_trials=1000, **kw)
+    rows = hz.run_power_study(cfg, workers=workers).rows
+    assert [r.rejections for r in rows] == rejections
+    assert [r.failures for r in rows] == [0, 0, 0, 0]
 
 
 class TestCsv:
@@ -241,6 +298,7 @@ class TestDistributionGrammar:
             ("cauchy:0:0.5", Cauchy(0, 0.5)),
             ("t:3", StudentT(3, 1.0)),
             ("t:3:0.57735", StudentT(3, 0.57735)),
+            ("normal:0.5", Normal(0.5, 1)),
         ],
     )
     def test_parse(self, text, expected):

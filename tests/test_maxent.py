@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entropygof.maxent import MaxEntSolution, cressie_read, et_statistic, solve_maxent
+from entropygof.maxent import MaxEntSolution, solve_maxent
 from entropygof.maxent import _tilt
-from helpers import random_feasible_g, simplex_grid_entropy
+from helpers import et_statistic, random_feasible_g, simplex_grid_entropy
 
 # frozen closed forms
 TWO_POINT_STAT = 0.22653204906053  # 4*( (1/3)ln(2/3) + (2/3)ln(4/3) )
 THREE_POINT_STAT = 0.35334910696915  # 3*ln(1.125)
-KL_HALF_QUARTER = 0.14384103622589  # 0.5 ln 2 + 0.5 ln(2/3)
 
 
 class TestSolve:
@@ -147,38 +146,6 @@ class TestStatistic:
         w = w / w.sum()
         sol = MaxEntSolution(w, 0.0, 0.0, 0.0, True, 0.0)
         assert et_statistic(sol, n) >= 0.0
-
-
-class TestCressieRead:
-    def test_zero_divergence(self):
-        for gamma in (-2.0, -1.0, -0.3, 0.0, 0.7, 1.0, 3.0):
-            assert cressie_read([0.3, 0.7], [0.3, 0.7], gamma) == pytest.approx(0.0, abs=1e-14)
-
-    def test_gamma_one(self):
-        assert cressie_read([0.5, 0.5], [0.25, 0.75], 1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_kl_limit(self):
-        assert cressie_read([0.5, 0.5], [0.25, 0.75], 0.0) == pytest.approx(KL_HALF_QUARTER, abs=1e-9)
-
-    def test_reverse_kl_limit(self):
-        p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
-        want = float(q @ np.log(q / p))
-        assert cressie_read(p, q, -1.0) == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("gamma0", [0.0, -1.0])
-    def test_continuity_at_limits(self, gamma0):
-        p, q = [0.5, 0.5], [0.45, 0.55]
-        at_limit = cressie_read(p, q, gamma0)
-        for eps in (1e-4, -1e-4):
-            assert cressie_read(p, q, gamma0 + eps) == pytest.approx(at_limit, abs=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cressie_read([0.5, 0.5], [1.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            cressie_read([0.5, 0.5], [0.3, 0.3], 1.0)
-        with pytest.raises(ValueError):
-            cressie_read([0.5, 0.5], [0.2, 0.3, 0.5], 1.0)
 
 
 def test_null_calibration_converges_to_alpha():
