@@ -55,6 +55,7 @@ from .numerics import (
     normal_quantile,
 )
 from .regression import (
+    DegenerateTrialError,
     LinearModelSpec,
     OlsFit,
     ols_fit,

@@ -3,7 +3,7 @@ reduction, CSV/SVG emission, and a flat key-value config format.
 
 Trial t of row r (rows enumerate alternative-by-sample-size cells) always
 draws from stream r * 2**32 + t of the study's master seed, so results are
-bit-identical for any worker count and any execution order.  Calibration
+bit-identical for any worker count, execution order and block size.  Calibration
 runs for the KS regression test use a disjoint stream range (see kstest).
 """
 
@@ -22,7 +22,14 @@ from .kstest import CalibrationCache, KsCriticalTable, ks_critical_simple, ks_st
 from .maxent import solve_maxent
 from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
-from .regression import LinearModelSpec, ols_fit, ratio_transform, simulate_model, standardized_residuals
+from .regression import (
+    DegenerateTrialError,
+    LinearModelSpec,
+    ols_fit,
+    ratio_transform,
+    simulate_model,
+    standardized_residuals,
+)
 from .sampling import (
     ARProcess,
     Cauchy,
@@ -55,6 +62,9 @@ __all__ = [
 
 DEFAULT_SEED = 123456789
 _ROW_STRIDE = 1 << 32
+# values per block of trials (B = _BLOCK_ELEMENTS // n trials of n values);
+# larger blocks run little faster and raise peak memory (README, Layout)
+_BLOCK_ELEMENTS = 4096
 
 CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
 
@@ -65,7 +75,8 @@ class TestKind:
 
     context(config, cache) runs once per study, before any trial, and
     returns what every trial needs (it travels to the workers inside each
-    chunk); statistic(context, alt, n, seed) runs one trial;
+    chunk); statistic(context, alt, n, seeds) runs the block of trials
+    named by a list of seeds and returns one statistic per trial;
     critical(context, alpha, n) is a row's critical value.  A trial
     rejects when its statistic exceeds the critical value.  Entries call
     the layer functions by their names in this module, so tracing that
@@ -88,17 +99,18 @@ def _et_simple_context(config: PowerStudyConfig, cache) -> tuple:
     return null_constraint(config.null_spec)
 
 
-def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
+def _et_simple_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
     mu, sigma, constraint = context
-    return solve_maxent(constraint.values(standardize(sample(alt, n, seed), mu, sigma))).statistic
+    g = constraint.values(standardize(sample(alt, n, seeds), mu, sigma))
+    return np.array([solve_maxent(row).statistic for row in g])
 
 
 def _ks_simple_context(config: PowerStudyConfig, cache) -> Callable:
     return partial(cdf, config.null_spec)
 
 
-def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
-    return ks_statistic(sample(alt, n, seed), null_cdf)
+def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
+    return ks_statistic(sample(alt, n, seeds), null_cdf)
 
 
 def _ks_simple_critical(context, alpha: float, n: int) -> float:
@@ -109,19 +121,25 @@ def _et_regression_context(config: PowerStudyConfig, cache) -> LinearModelSpec:
     return config.null_spec
 
 
-def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
-    y, X = simulate_model(model, n, seed, error_process=alt)
-    z = ratio_transform(ols_fit(y, X).residuals)
-    return solve_maxent(np.sin(z)).statistic
+def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
+    stats = []
+    for seed in seeds:
+        y, X = simulate_model(model, n, seed, error_process=alt)
+        z = ratio_transform(ols_fit(y, X).residuals)
+        stats.append(solve_maxent(np.sin(z)).statistic)
+    return np.array(stats)
 
 
 def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:
     return config.null_spec, ensure_lilliefors_table(config, cache)
 
 
-def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec) -> float:
-    y, X = simulate_model(context[0], n, seed, error_process=alt)
-    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
+def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
+    stats = []
+    for seed in seeds:
+        y, X = simulate_model(context[0], n, seed, error_process=alt)
+        stats.append(ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf))
+    return np.array(stats)
 
 
 def _ks_regression_critical(context, alpha: float, n: int) -> float:
@@ -225,19 +243,38 @@ class PowerTable:
 # ---------------------------------------------------------------------------
 
 
+def _block_outcome(statistic: Callable, context, alt, n: int, seeds: list[SeedSpec], critical) -> tuple[int, int]:
+    """(rejections, failures) of one block of trials.
+
+    A degenerate trial spoils its block's call, so that block runs again
+    one trial at a time: each degenerate trial counts as one failure,
+    whatever the block size.
+    """
+    try:
+        return int(np.count_nonzero(statistic(context, alt, n, seeds) > critical)), 0
+    except DegenerateTrialError:
+        if len(seeds) == 1:
+            return 0, 1
+        outcomes = [_block_outcome(statistic, context, alt, n, [seed], critical) for seed in seeds]
+        return sum(r for r, _ in outcomes), sum(f for _, f in outcomes)
+
+
 def _run_chunk(payload) -> tuple[int, int]:
-    """(rejections, failures) over one contiguous trial range; worker-safe."""
+    """(rejections, failures) over one contiguous trial range; worker-safe.
+
+    The range runs in blocks of _BLOCK_ELEMENTS // n trials; trial t still
+    draws from its own stream, so the counts do not depend on the blocks.
+    """
     test, alt, n, master_seed, row_idx, t_start, t_stop, context, critical = payload
     statistic = TEST_KINDS[test].statistic
-    rejections = 0
-    failures = 0
+    block = max(1, _BLOCK_ELEMENTS // n)
     base = row_idx * _ROW_STRIDE
-    for t in range(t_start, t_stop):
-        seed = SeedSpec(master_seed, base + t)
-        try:
-            rejections += statistic(context, alt, n, seed) > critical
-        except Exception:
-            failures += 1
+    rejections = failures = 0
+    for lo in range(t_start, t_stop, block):
+        seeds = [SeedSpec(master_seed, base + t) for t in range(lo, min(lo + block, t_stop))]
+        r, f = _block_outcome(statistic, context, alt, n, seeds, critical)
+        rejections += r
+        failures += f
     return rejections, failures
 
 
@@ -263,8 +300,9 @@ def run_power_study(
     """Rejection-rate grid over (alternative, n); deterministic given the seed.
 
     Trials draw from per-trial streams (row index * 2**32 + trial index), so
-    the output is identical for any worker count.  Trial-level numerical
-    failures are tallied per row; a failure rate above 0.1% aborts the run.
+    the output is identical for any worker count.  Degenerate trials
+    (DegenerateTrialError) are tallied per row, and a rate above 0.1% aborts
+    the run; any other error propagates.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

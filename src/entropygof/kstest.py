@@ -11,6 +11,7 @@ tables do not match the leverage-standardized residuals tested here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -42,25 +43,31 @@ __all__ = [
 CAL_STREAM_BASE = 1 << 62
 
 
-def ks_statistic(data, null_cdf: Callable) -> float:
+def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
     """Two-sided sup gap between the empirical CDF and a hypothesized CDF.
 
     D = max_j max(j/n - F(z_(j)), F(z_(j)) - (j-1)/n) over the sorted data.
+    A vector gives a float; a (B, n) block gives the B statistics of its
+    rows, with the CDF evaluated once over the whole block.
     """
-    x = np.sort(np.asarray(data, dtype=np.float64))
-    n = x.size
-    if n == 0:
+    x = np.sort(np.asarray(data, dtype=np.float64), axis=-1)
+    if x.ndim not in (1, 2):
+        raise ValueError("ks_statistic takes a vector or a (B, n) block")
+    if x.size == 0:
         raise ValueError("ks_statistic requires nonempty data")
+    n = x.shape[-1]
     try:
         f = np.asarray(null_cdf(x), dtype=np.float64)
         if f.shape != x.shape:
             raise TypeError
     except (TypeError, ValueError):
-        f = np.array([float(null_cdf(float(v))) for v in x])
+        f = np.array([float(null_cdf(float(v))) for v in x.ravel()]).reshape(x.shape)
     j = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(j / n - f))
-    d_minus = float(np.max(f - (j - 1.0) / n))
-    return max(d_plus, d_minus, 0.0)
+    d_plus = np.max(j / n - f, axis=-1)
+    d_minus = np.max(f - (j - 1.0) / n, axis=-1)
+    if x.ndim == 1:
+        return max(float(d_plus), float(d_minus), 0.0)
+    return np.maximum(np.maximum(d_plus, d_minus), 0.0)
 
 
 def kolmogorov_sf(x: float, terms: int = 100) -> float:
@@ -73,8 +80,12 @@ def kolmogorov_sf(x: float, terms: int = 100) -> float:
     return min(max(s, 0.0), 1.0)
 
 
+@functools.lru_cache(maxsize=64)
 def kolmogorov_critical(alpha: float, terms: int = 100) -> float:
-    """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series."""
+    """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series.
+
+    Cached: a power study asks for the same alpha once per row.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     lo, hi = 1e-3, 5.0
@@ -144,7 +155,9 @@ class CalibrationCache:
 
     One record per line: n,alpha,design_hash,trials,master_seed,critical.
     The file is derivable from scratch and never authoritative; a missing
-    or stale entry just triggers recalibration.
+    or stale entry just triggers recalibration.  So does a damaged one: a
+    malformed record, or a torn final line without its newline, is skipped
+    on load and never used as a critical value.
     """
 
     def __init__(self, path: str | Path):
@@ -159,7 +172,8 @@ class CalibrationCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        for line in self.path.read_text().splitlines():
+        # the text after the last newline is a torn append, never a record
+        for line in self.path.read_text().split("\n")[:-1]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -167,8 +181,11 @@ class CalibrationCache:
             if len(parts) != 6:
                 continue
             n, alpha, design_hash, trials, master_seed, critical = parts
-            key = self._key(int(n), float(alpha), design_hash, int(trials), int(master_seed))
-            self._entries[key] = float(critical)
+            try:
+                key = self._key(int(n), float(alpha), design_hash, int(trials), int(master_seed))
+                self._entries[key] = float(critical)
+            except ValueError:
+                continue  # a malformed record is recalibrated, never used
 
     def get(self, n: int, alpha: float, design_hash: str, trials: int, master_seed: int) -> float | None:
         return self._entries.get(self._key(n, alpha, design_hash, trials, master_seed))
@@ -180,12 +197,19 @@ class CalibrationCache:
         if self._entries.get(key) == critical:
             return
         self._entries[key] = critical
-        new_file = not self.path.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            if new_file:
-                fh.write("# n,alpha,design_hash,trials,master_seed,critical\n")
-            fh.write(f"{n},{format(float(alpha), '.10g')},{design_hash},{trials},{master_seed},{critical!r}\n")
+        with self.path.open("a+b") as fh:
+            fh.seek(0)
+            kept = fh.read()
+            if not kept.endswith(b"\n"):
+                # drop a torn final append, so this record starts a line of its
+                # own and does not turn the fragment into a loadable record
+                kept = kept[: kept.rfind(b"\n") + 1]
+                fh.truncate(len(kept))
+            record = f"{n},{format(float(alpha), '.10g')},{design_hash},{trials},{master_seed},{critical!r}\n"
+            if not kept:
+                record = "# n,alpha,design_hash,trials,master_seed,critical\n" + record
+            fh.write(record.encode())
 
 
 def design_hash(model: "LinearModelSpec") -> str:

@@ -27,6 +27,7 @@ from .results import TestResult, chi2_1_decision
 from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, uniform_open01
 
 __all__ = [
+    "DegenerateTrialError",
     "LinearModelSpec",
     "OlsFit",
     "ols_fit",
@@ -37,6 +38,15 @@ __all__ = [
     "simulate_model",
     "null_trial_ks_distance",
 ]
+
+
+class DegenerateTrialError(ValueError):
+    """A simulated trial hit a probability-zero degenerate case: a
+    rank-deficient design or a zero residual in a ratio denominator.
+
+    Power studies count such trials as failures; any other error is a bug
+    and propagates.
+    """
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ def ols_fit(y, X) -> OlsFit:
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise ValueError(f"design matrix is rank deficient (|R| diagonal min {diag.min():.3g})")
+        raise DegenerateTrialError(f"design matrix is rank deficient (|R| diagonal min {diag.min():.3g})")
     beta_hat = np.linalg.solve(r, q.T @ y)
     residuals = y - X @ beta_hat
     hat_diag = np.einsum("ij,ij->i", q, q)
@@ -116,7 +126,7 @@ def ratio_transform(residuals) -> np.ndarray:
     num = e[0 : 2 * m : 2]
     den = e[1 : 2 * m : 2]
     if np.any(den == 0.0):
-        raise ValueError("degenerate input: zero denominator in residual ratio")
+        raise DegenerateTrialError("degenerate input: zero denominator in residual ratio")
     return num / den
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -193,28 +193,49 @@ _AR_BURN_IN = 100
 
 
 def _ar_recurse(rho: tuple[float, ...], u: np.ndarray) -> np.ndarray:
-    """Run the AR recursion from a zero start; plain floats keep the loop fast."""
-    innov = u.tolist()
-    out: list[float] = []
-    if len(rho) == 1:
-        (r0,) = rho
-        prev = 0.0
-        for x in innov:
-            prev = r0 * prev + x
-            out.append(prev)
-    else:
-        state = [0.0] * len(rho)
-        for x in innov:
-            val = x
-            for r, s in zip(rho, state):
-                val += r * s
-            state.pop()
-            state.insert(0, val)
-            out.append(val)
-    return np.asarray(out)
+    """Run the AR recursion along the last axis of u from a zero start;
+    plain floats keep the loop fast."""
+    paths: list[list[float]] = []
+    for innov in u.reshape(-1, u.shape[-1]).tolist():
+        out: list[float] = []
+        if len(rho) == 1:
+            (r0,) = rho
+            prev = 0.0
+            for x in innov:
+                prev = r0 * prev + x
+                out.append(prev)
+        else:
+            state = [0.0] * len(rho)
+            for x in innov:
+                val = x
+                for r, s in zip(rho, state):
+                    val += r * s
+                state.pop()
+                state.insert(0, val)
+                out.append(val)
+        paths.append(out)
+    return np.array(paths).reshape(u.shape)
 
 
-def _iid_from_uniforms(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
+def _draw(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """The uniforms that n values of spec consume from gen, in stream order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if isinstance(spec, (Normal, Uniform, Exponential, Cauchy, CenteredLogNormal)):
+        return uniform_open01(gen, n)
+    if isinstance(spec, StudentT):
+        # numerator normals first, then dof rows of denominator normals
+        return uniform_open01(gen, (spec.dof + 1, n))
+    if isinstance(spec, ARProcess):
+        return _draw(spec.innovation, n if spec.is_random_walk else n + _AR_BURN_IN, gen)
+    if isinstance(spec, MAProcess):
+        return _draw(spec.innovation, n + len(spec.theta), gen)
+    raise TypeError(f"unknown distribution spec {spec!r}")
+
+
+def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
+    """Values of spec from the uniforms _draw returned; a leading axis of u
+    stacks trials, and each trial's values are those of its own draw."""
     if isinstance(spec, Normal):
         return spec.mu + spec.sigma * normal_quantile(u)
     if isinstance(spec, Uniform):
@@ -223,47 +244,46 @@ def _iid_from_uniforms(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
         return spec.shift - np.log(u) / spec.rate
     if isinstance(spec, Cauchy):
         return spec.loc + spec.scale * np.tan(np.pi * (u - 0.5))
-    raise TypeError(f"no single-uniform sampler for {type(spec).__name__}")
-
-
-def sample_using(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw n values of spec, consuming state from an existing generator."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(spec, (Normal, Uniform, Exponential, Cauchy)):
-        return _iid_from_uniforms(spec, uniform_open01(gen, n))
     if isinstance(spec, StudentT):
-        # numerator normals first, then dof rows of denominator normals
-        u = uniform_open01(gen, (spec.dof + 1, n))
         z = normal_quantile(u)
-        chi2 = np.sum(z[1:] ** 2, axis=0)
-        return spec.scale * z[0] / np.sqrt(chi2 / spec.dof)
+        chi2 = np.sum(z[..., 1:, :] ** 2, axis=-2)
+        return spec.scale * z[..., 0, :] / np.sqrt(chi2 / spec.dof)
     if isinstance(spec, CenteredLogNormal):
-        z = normal_quantile(uniform_open01(gen, n))
+        z = normal_quantile(u)
         return np.exp(math.sqrt(spec.sigma2_log) * z) - spec.shift
     if isinstance(spec, ARProcess):
+        e = _map(spec.innovation, u)
         if spec.is_random_walk:
-            u = sample_using(spec.innovation, n, gen)
-            return np.cumsum(u)
-        u = sample_using(spec.innovation, n + _AR_BURN_IN, gen)
-        return _ar_recurse(spec.rho, u)[_AR_BURN_IN:]
+            return np.cumsum(e, axis=-1)
+        return _ar_recurse(spec.rho, e)[..., _AR_BURN_IN:]
     if isinstance(spec, MAProcess):
         q = len(spec.theta)
-        u = sample_using(spec.innovation, n + q, gen)
-        out = u[q:].copy()
+        e = _map(spec.innovation, u)
+        n = e.shape[-1] - q
+        out = e[..., q:].copy()
         for i, theta in enumerate(spec.theta, start=1):
-            out += theta * u[q - i : q - i + n]
+            out += theta * e[..., q - i : q - i + n]
         return out
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
-def sample(spec: DistributionSpec, n: int, seed: SeedSpec) -> np.ndarray:
+def sample_using(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw n values of spec, consuming state from an existing generator."""
+    return _map(spec, _draw(spec, n, gen))
+
+
+def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) -> np.ndarray:
     """Draw n values of spec from the stream named by seed.
 
     Deterministic: identical (spec, n, seed) always yields bit-identical
-    output, independent of anything else the process has sampled.
+    output, independent of anything else the process has sampled.  Given a
+    sequence of B seeds it returns a (B, n) block whose row b is
+    bit-identical to sample(spec, n, seeds[b]): each row is drawn from its
+    own stream, and the variate map then runs once over the whole block.
     """
-    return sample_using(spec, n, seed.generator())
+    if isinstance(seed, SeedSpec):
+        return sample_using(spec, n, seed.generator())
+    return _map(spec, np.stack([_draw(spec, n, s.generator()) for s in seed]))
 
 
 # ---------------------------------------------------------------------------

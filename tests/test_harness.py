@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import entropygof.harness as hz
-from entropygof.regression import LinearModelSpec
+from entropygof.regression import DegenerateTrialError, LinearModelSpec
 from entropygof.sampling import ARProcess, Cauchy, Normal, StudentT, Uniform
 
 
@@ -174,12 +174,46 @@ class TestRunPowerStudy:
 
     def test_failure_budget_enforced(self, monkeypatch):
         def explode(*args, **kwargs):
-            raise FloatingPointError("boom")
+            raise DegenerateTrialError("boom")
 
         kind = hz.TEST_KINDS["et-simple"]
         monkeypatch.setitem(hz.TEST_KINDS, "et-simple", replace(kind, statistic=explode))
         with pytest.raises(RuntimeError, match="0.1%"):
             hz.run_power_study(small_config())
+
+    def test_bug_in_statistic_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a degenerate trial")
+
+        kind = hz.TEST_KINDS["et-simple"]
+        monkeypatch.setitem(hz.TEST_KINDS, "et-simple", replace(kind, statistic=broken))
+        with pytest.raises(TypeError, match="a bug"):
+            hz.run_power_study(small_config())
+
+    def test_degenerate_trials_counted_one_by_one(self, monkeypatch):
+        kind = hz.TEST_KINDS["ks-simple"]
+
+        def flaky(context, alt, n, seeds):
+            # trial 17 of every row is degenerate; it spoils any block holding it
+            if any(seed.stream_id % (1 << 32) == 17 for seed in seeds):
+                raise DegenerateTrialError("zero denominator")
+            return kind.statistic(context, alt, n, seeds)
+
+        monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=flaky))
+        cfg = small_config(test="ks-simple", trials=1000, sample_sizes=(25,))
+        blocked = hz.run_power_study(cfg).rows
+        monkeypatch.setattr(hz, "_BLOCK_ELEMENTS", 1)
+        assert hz.run_power_study(cfg).rows == blocked
+        assert [r.failures for r in blocked] == [1, 1]
+
+    @pytest.mark.parametrize("test", ["et-simple", "ks-simple"])
+    def test_block_size_does_not_change_rows(self, monkeypatch, test):
+        cfg = small_config(
+            test=test, alternatives=(Normal(0, 1), StudentT(3, 1.0), Cauchy(0, 1)), sample_sizes=(25, 100), trials=300
+        )
+        blocked = hz.run_power_study(cfg).rows
+        monkeypatch.setattr(hz, "_BLOCK_ELEMENTS", 1)
+        assert hz.run_power_study(cfg).rows == blocked
 
     def test_progress_hook(self):
         seen = []

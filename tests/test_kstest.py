@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropygof import kstest as ks
 from entropygof.numerics import normal_cdf, normal_quantile
@@ -49,6 +50,40 @@ class TestStatistic:
     def test_scalar_only_cdf_supported(self):
         d = ks.ks_statistic([0.0, 1.0], lambda x: float(normal_cdf(float(x))))
         assert d == pytest.approx(ks.ks_statistic([0.0, 1.0], normal_cdf), abs=1e-15)
+
+
+def _scalar_only_normal_cdf(x):
+    if not isinstance(x, float):
+        raise TypeError("this CDF takes one float")
+    return normal_cdf(x)
+
+
+class TestBlockStatistic:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+        ties=st.booleans(),
+        scalar_only=st.booleans(),
+    )
+    def test_rows_match_vector_calls(self, rows, n, seed, ties, scalar_only):
+        data = sample(Normal(0, 1), rows * n, SeedSpec(seed, 0)).reshape(rows, n)
+        if ties:
+            data = np.round(data, 1)
+        cdf = _scalar_only_normal_cdf if scalar_only else normal_cdf
+        block = ks.ks_statistic(data, cdf)
+        assert block.shape == (rows,)
+        assert block.tolist() == [ks.ks_statistic(row, cdf) for row in data]
+
+    def test_vector_gives_float(self):
+        assert isinstance(ks.ks_statistic(np.zeros(3), normal_cdf), float)
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            ks.ks_statistic(np.zeros((2, 2, 2)), normal_cdf)
+        with pytest.raises(ValueError):
+            ks.ks_statistic(np.zeros((3, 0)), normal_cdf)
 
 
 class TestCriticalValues:
@@ -170,6 +205,30 @@ class TestCalibrationCache:
         path.write_text("# header\nnot,a,record\n100,0.05,abc,1000,7,0.08\n")
         cache = ks.CalibrationCache(path)
         assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+
+    def test_malformed_record_skipped(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("# header\n50,0.05,abc,1000,1,0.1xyz\n100,0.05,abc,1000,7,0.08\n")
+        cache = ks.CalibrationCache(path)
+        assert cache.get(50, 0.05, "abc", 1000, 1) is None
+        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+
+    def test_torn_last_line_ignored(self, tmp_path):
+        # the append of 0.1234 stopped after "0.12"
+        path = tmp_path / "cal.txt"
+        path.write_text("# header\n100,0.05,abc,1000,7,0.08\n50,0.05,abc,1000,1,0.12")
+        cache = ks.CalibrationCache(path)
+        assert cache.get(50, 0.05, "abc", 1000, 1) is None
+        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+
+    def test_put_after_torn_line(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("# header\n50,0.05,abc,1000,1,0.12")
+        ks.CalibrationCache(path).put(100, 0.05, "abc", 1000, 7, 0.0815)
+        assert path.read_text().endswith("100,0.05,abc,1000,7,0.0815\n")
+        reloaded = ks.CalibrationCache(path)
+        assert reloaded.get(100, 0.05, "abc", 1000, 7) == 0.0815
+        assert reloaded.get(50, 0.05, "abc", 1000, 1) is None
 
     def test_lilliefors_critical_uses_cache(self, tmp_path):
         model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)

@@ -40,7 +40,7 @@ class TestOls:
 
     def test_rank_deficiency_rejected(self):
         X = np.column_stack([np.ones(20), np.ones(20)])
-        with pytest.raises(ValueError, match="rank"):
+        with pytest.raises(rg.DegenerateTrialError, match="rank"):
             rg.ols_fit(np.zeros(20), X)
 
     def test_shape_validation(self):
@@ -88,7 +88,7 @@ class TestRatioTransform:
         assert np.allclose(rg.ratio_transform(e), rg.ratio_transform(3.0 * e), rtol=1e-14)
 
     def test_zero_denominator(self):
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(rg.DegenerateTrialError, match="degenerate"):
             rg.ratio_transform([1.0, 0.0])
 
     def test_too_short(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropygof import numerics as nm
 from entropygof import sampling as sp
@@ -153,6 +154,39 @@ class TestProcesses:
             sp.ARProcess((0.5,), inner)
         with pytest.raises(ValueError):
             sp.MAProcess((0.5,), inner)
+
+
+# every spec kind of the study menu, with non-default parameters and innovations
+_MENU = (
+    sp.Normal(0.3, 2.0),
+    sp.Uniform(-1.0, 2.0),
+    sp.Exponential(2.0, -0.5),
+    sp.Cauchy(0.1, 3.0),
+    sp.StudentT(3, 0.7),
+    sp.CenteredLogNormal(0.5),
+    sp.ARProcess((0.5,), sp.Normal(0, 2)),
+    sp.ARProcess((1.0,)),
+    sp.ARProcess((0.3, 0.2), sp.StudentT(4)),
+    sp.MAProcess((0.5, -0.25), sp.Normal(0, 2)),
+    sp.MAProcess((0.4,), sp.Cauchy()),
+)
+
+
+class TestBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(_MENU),
+        n=st.integers(1, 150),
+        trials=st.integers(1, 6),
+        master_seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**63),
+    )
+    def test_rows_match_single_draws(self, spec, n, trials, master_seed, first):
+        seeds = [sp.SeedSpec(master_seed, first + t) for t in range(trials)]
+        block = sp.sample(spec, n, seeds)
+        assert block.shape == (trials, n)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == sp.sample(spec, n, seed).tobytes()
 
 
 class TestCdf:
