@@ -43,6 +43,7 @@ from .sampling import (
     Uniform,
     cdf,
     sample,
+    seed_blocks,
     spec_label,
 )
 
@@ -62,9 +63,6 @@ __all__ = [
 
 DEFAULT_SEED = 123456789
 _ROW_STRIDE = 1 << 32
-# values per block of trials (B = _BLOCK_ELEMENTS // n trials of n values);
-# larger blocks run little faster and raise peak memory (README, Layout)
-_BLOCK_ELEMENTS = 4096
 
 CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
 
@@ -122,12 +120,9 @@ def _et_regression_context(config: PowerStudyConfig, cache) -> LinearModelSpec:
 
 
 def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    stats = []
-    for seed in seeds:
-        y, X = simulate_model(model, n, seed, error_process=alt)
-        z = ratio_transform(ols_fit(y, X).residuals)
-        stats.append(solve_maxent(np.sin(z)).statistic)
-    return np.array(stats)
+    y, X = simulate_model(model, n, seeds, error_process=alt)
+    z = ratio_transform(ols_fit(y, X).residuals)
+    return np.array([solve_maxent(row).statistic for row in np.sin(z)])
 
 
 def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:
@@ -135,11 +130,8 @@ def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:
 
 
 def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    stats = []
-    for seed in seeds:
-        y, X = simulate_model(context[0], n, seed, error_process=alt)
-        stats.append(ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf))
-    return np.array(stats)
+    y, X = simulate_model(context[0], n, seeds, error_process=alt)
+    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
 
 
 def _ks_regression_critical(context, alpha: float, n: int) -> float:
@@ -262,16 +254,14 @@ def _block_outcome(statistic: Callable, context, alt, n: int, seeds: list[SeedSp
 def _run_chunk(payload) -> tuple[int, int]:
     """(rejections, failures) over one contiguous trial range; worker-safe.
 
-    The range runs in blocks of _BLOCK_ELEMENTS // n trials; trial t still
-    draws from its own stream, so the counts do not depend on the blocks.
+    The range runs in blocks (sampling.seed_blocks); trial t still draws
+    from its own stream, so the counts do not depend on the blocks.
     """
     test, alt, n, master_seed, row_idx, t_start, t_stop, context, critical = payload
     statistic = TEST_KINDS[test].statistic
-    block = max(1, _BLOCK_ELEMENTS // n)
     base = row_idx * _ROW_STRIDE
     rejections = failures = 0
-    for lo in range(t_start, t_stop, block):
-        seeds = [SeedSpec(master_seed, base + t) for t in range(lo, min(lo + block, t_stop))]
+    for seeds in seed_blocks(master_seed, base + t_start, base + t_stop, n):
         r, f = _block_outcome(statistic, context, alt, n, seeds, critical)
         rejections += r
         failures += f

@@ -20,8 +20,13 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+try:
+    from fcntl import LOCK_EX, flock
+except ImportError:  # no advisory file locks (Windows): puts are not serialised
+    flock = None
+
 from .results import TestResult
-from .sampling import SeedSpec
+from .sampling import SeedSpec, seed_blocks
 
 if TYPE_CHECKING:
     from .regression import LinearModelSpec
@@ -157,7 +162,8 @@ class CalibrationCache:
     The file is derivable from scratch and never authoritative; a missing
     or stale entry just triggers recalibration.  So does a damaged one: a
     malformed record, or a torn final line without its newline, is skipped
-    on load and never used as a critical value.
+    on load and never used as a critical value.  Concurrent writers are
+    serialised by an exclusive lock on the file where the platform has one.
     """
 
     def __init__(self, path: str | Path):
@@ -199,6 +205,10 @@ class CalibrationCache:
         self._entries[key] = critical
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a+b") as fh:
+            # one put at a time across processes: another writer's append
+            # must not land between this read and the truncate below
+            if flock is not None:
+                flock(fh.fileno(), LOCK_EX)
             fh.seek(0)
             kept = fh.read()
             if not kept.endswith(b"\n"):
@@ -231,7 +241,8 @@ def lilliefors_calibrate(
     squares, standardizes residuals by their estimated standard deviation,
     and records the KS distance to the standard normal; the empirical
     (1 - alpha) quantile (ceil((1-alpha)*trials)-th order statistic) is
-    returned.  Deterministic given seed; trial t uses stream_id + t.
+    returned.  Deterministic given seed; trial t uses stream_id + t.  The
+    trials run in blocks (sampling.seed_blocks), which never changes a draw.
     """
     from .regression import null_trial_ks_distance
 
@@ -239,9 +250,10 @@ def lilliefors_calibrate(
         raise ValueError("calibration needs at least 1000 trials")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    distances = np.empty(trials)
-    for t in range(trials):
-        distances[t] = null_trial_ks_distance(model, n, SeedSpec(seed.master_seed, seed.stream_id + t))
+    first = seed.stream_id
+    distances = np.concatenate(
+        [null_trial_ks_distance(model, n, seeds) for seeds in seed_blocks(seed.master_seed, first, first + trials, n)]
+    )
     distances.sort()
     rank = math.ceil((1.0 - alpha) * trials)  # alpha -> 1 gives rank 0: criticals degenerate to 0
     if rank <= 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -86,53 +87,74 @@ class LinearModelSpec:
 
 @dataclass(frozen=True)
 class OlsFit:
+    """One fit, or a block of B fits with a leading axis on every field."""
+
     beta_hat: np.ndarray
     residuals: np.ndarray
     leverages: np.ndarray  # 1 - hat diagonal, so var(e_j) = sigma2 * leverages[j]
-    sigma2_hat: float
+    sigma2_hat: float | np.ndarray
 
 
 def ols_fit(y, X) -> OlsFit:
-    """Least squares via QR; residuals, leverages, and unbiased sigma2_hat."""
+    """Least squares via QR; residuals, leverages, and unbiased sigma2_hat.
+
+    y of length n and X of shape (n, k) give one fit; y of shape (B, n) and
+    X of shape (B, n, k) give B fits, each bit-identical to the fit of its
+    row alone, because both run the same stacked LAPACK and BLAS calls
+    once per matrix.  A rank-deficient design in any row raises
+    DegenerateTrialError.
+    """
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or y.size != X.shape[0]:
-        raise ValueError("X must be n-by-k and y length n")
-    n, k = X.shape
+    single = X.ndim == 2
+    if single:
+        y, X = y[None], X[None]
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise ValueError("X must be n-by-k and y length n, or a block of B of each")
+    n, k = X.shape[1:]
     if n <= k:
         raise ValueError("need n > k observations")
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise DegenerateTrialError(f"design matrix is rank deficient (|R| diagonal min {diag.min():.3g})")
-    beta_hat = np.linalg.solve(r, q.T @ y)
-    residuals = y - X @ beta_hat
-    hat_diag = np.einsum("ij,ij->i", q, q)
-    leverages = 1.0 - hat_diag
-    sigma2_hat = float(residuals @ residuals) / (n - k)
-    return OlsFit(beta_hat=beta_hat, residuals=residuals, leverages=leverages, sigma2_hat=sigma2_hat)
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    low = diag.min(axis=1) <= 1e-12 * np.maximum(diag.max(axis=1), 1.0)
+    if low.any():
+        raise DegenerateTrialError(
+            f"design matrix is rank deficient (|R| diagonal min {diag.min(axis=1)[low].min():.3g})"
+        )
+    # the right-hand side keeps a trailing axis: numpy 1.x and 2.x read a
+    # (B, k) right-hand side of a stacked solve differently
+    beta_hat = np.linalg.solve(r, q.transpose(0, 2, 1) @ y[..., None])
+    residuals = y - (X @ beta_hat)[..., 0]
+    leverages = 1.0 - np.einsum("bij,bij->bi", q, q)
+    # (1, n) @ (n, 1) per row is the ddot of residuals @ residuals
+    sigma2_hat = (residuals[:, None, :] @ residuals[..., None])[:, 0, 0] / (n - k)
+    if single:
+        return OlsFit(beta_hat[0, :, 0], residuals[0], leverages[0], float(sigma2_hat[0]))
+    return OlsFit(beta_hat[..., 0], residuals, leverages, sigma2_hat)
 
 
 def ratio_transform(residuals) -> np.ndarray:
-    """Non-overlapping consecutive ratios (e_1/e_2, e_3/e_4, ...).
+    """Non-overlapping consecutive ratios (e_1/e_2, e_3/e_4, ...) along the
+    last axis, so a (B, n) block gives the (B, n // 2) ratios of its rows.
 
     An odd trailing residual is dropped.  A zero denominator (probability
     zero under continuous errors) is a degenerate input and raises.
     """
     e = np.asarray(residuals, dtype=np.float64)
-    if e.size < 2:
+    if e.ndim == 0 or e.shape[-1] < 2:
         raise ValueError("need at least two residuals")
-    m = e.size // 2
-    num = e[0 : 2 * m : 2]
-    den = e[1 : 2 * m : 2]
+    m = e.shape[-1] // 2
+    num = e[..., 0 : 2 * m : 2]
+    den = e[..., 1 : 2 * m : 2]
     if np.any(den == 0.0):
         raise DegenerateTrialError("degenerate input: zero denominator in residual ratio")
     return num / den
 
 
 def standardized_residuals(fit: OlsFit) -> np.ndarray:
-    """e_j / sqrt(sigma2_hat * h_j), approximately standard normal under the null."""
-    return fit.residuals / np.sqrt(fit.sigma2_hat * fit.leverages)
+    """e_j / sqrt(sigma2_hat * h_j), approximately standard normal under the
+    null; row by row for a block fit."""
+    return fit.residuals / np.sqrt(np.asarray(fit.sigma2_hat)[..., None] * fit.leverages)
 
 
 def run_regression_et(y, X, alpha: float = 0.05) -> TestResult:
@@ -174,19 +196,27 @@ def run_regression_ks(y, X, alpha: float, critical_table: KsCriticalTable) -> Te
 def simulate_model(
     model: LinearModelSpec,
     n: int,
-    seed: SeedSpec,
+    seed: SeedSpec | Sequence[SeedSpec],
     error_process: DistributionSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One simulated (y, X) draw: fresh design first, then the error path."""
-    gen = seed.generator()
-    X = model.design_matrix(n, gen)
-    errors = sample_using(error_process or model.error_process, n, gen)
-    y = X @ np.asarray(model.beta) + errors
-    return y, X
+    """One simulated (y, X) draw: fresh design first, then the error path.
+
+    Given a sequence of B seeds it returns y of shape (B, n) and X of shape
+    (B, n, k); each trial draws its design and then its errors from its own
+    stream, so row b is bit-identical to the draw of seeds[b] alone.
+    """
+    single = isinstance(seed, SeedSpec)
+    gens = [s.generator() for s in ([seed] if single else seed)]
+    X = np.stack([model.design_matrix(n, gen) for gen in gens])
+    y = X @ np.asarray(model.beta) + sample_using(error_process or model.error_process, n, gens)
+    return (y[0], X[0]) if single else (y, X)
 
 
-def null_trial_ks_distance(model: LinearModelSpec, n: int, seed: SeedSpec) -> float:
-    """KS distance of standardized residuals for one null-pipeline trial."""
+def null_trial_ks_distance(
+    model: LinearModelSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]
+) -> float | np.ndarray:
+    """KS distance of standardized residuals for one null-pipeline trial,
+    or the B distances of a block of seeds."""
     y, X = simulate_model(model, n, seed, error_process=model.null_errors())
     fit = ols_fit(y, X)
     return ks_statistic(standardized_residuals(fit), normal_cdf)

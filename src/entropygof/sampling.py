@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "DistributionSpec",
     "sample",
     "sample_using",
+    "seed_blocks",
     "uniform_open01",
     "cdf",
     "centered_lognormal_params",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64 - 1
+# values per block of trials (B = _BLOCK_ELEMENTS // n trials of n values);
+# larger blocks run little faster and raise peak memory (README, Layout)
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,14 @@ class SeedSpec:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def seed_blocks(master_seed: int, first: int, stop: int, n: int) -> Iterator[list[SeedSpec]]:
+    """The streams first, ..., stop - 1 of master_seed, in blocks of
+    max(1, _BLOCK_ELEMENTS // n) seeds for trials of n values each."""
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(first, stop, block):
+        yield [SeedSpec(master_seed, t) for t in range(lo, min(lo + block, stop))]
 
 
 def uniform_open01(gen: np.random.Generator, size: int | tuple) -> np.ndarray:
@@ -267,9 +279,17 @@ def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
-def sample_using(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw n values of spec, consuming state from an existing generator."""
-    return _map(spec, _draw(spec, n, gen))
+def sample_using(
+    spec: DistributionSpec, n: int, gen: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Draw n values of spec, consuming state from an existing generator.
+
+    Given B generators it returns a (B, n) block: row b is drawn from
+    generator b, and the variate map then runs once over the whole block.
+    """
+    if isinstance(gen, np.random.Generator):
+        return _map(spec, _draw(spec, n, gen))
+    return _map(spec, np.stack([_draw(spec, n, g) for g in gen]))
 
 
 def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) -> np.ndarray:
@@ -279,11 +299,11 @@ def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) 
     output, independent of anything else the process has sampled.  Given a
     sequence of B seeds it returns a (B, n) block whose row b is
     bit-identical to sample(spec, n, seeds[b]): each row is drawn from its
-    own stream, and the variate map then runs once over the whole block.
+    own stream.
     """
     if isinstance(seed, SeedSpec):
         return sample_using(spec, n, seed.generator())
-    return _map(spec, np.stack([_draw(spec, n, s.generator()) for s in seed]))
+    return sample_using(spec, n, [s.generator() for s in seed])
 
 
 # ---------------------------------------------------------------------------

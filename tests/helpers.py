@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the simplex oracle
 enumerates feasible weight vectors on a grid and never touches the dual
 solver; the KL oracle computes the entropy statistic from the weights
 instead of the dual identity the solver uses; the erf oracle is a plain
-Maclaurin series.
+Maclaurin series; the least-squares reference fits one matrix with
+unstacked numpy calls.
 """
 
 from __future__ import annotations
@@ -39,6 +40,18 @@ def et_statistic(solution, n: int) -> float:
         raise ValueError("n must equal the weight-vector length")
     terms = np.where(pi > 0.0, pi * np.log(np.maximum(pi * n, 1e-300)), 0.0)
     return float(max(2.0 * n * terms.sum(), 0.0))
+
+
+def ols_fit_reference(y, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(beta_hat, residuals, leverages, sigma2_hat) of one n-by-k fit, by
+    the one-matrix QR algebra that the stacked ols_fit must reproduce bit
+    for bit."""
+    n, k = X.shape
+    q, r = np.linalg.qr(X)
+    beta_hat = np.linalg.solve(r, q.T @ y)
+    residuals = y - X @ beta_hat
+    leverages = 1.0 - np.einsum("ij,ij->i", q, q)
+    return beta_hat, residuals, leverages, float(residuals @ residuals) / (n - k)
 
 
 def normal_cdf_series(x: float) -> float:

@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 import entropygof.harness as hz
+import entropygof.sampling as sampling
 from entropygof.regression import DegenerateTrialError, LinearModelSpec
-from entropygof.sampling import ARProcess, Cauchy, Normal, StudentT, Uniform
+from entropygof.sampling import ARProcess, Cauchy, Normal, SeedSpec, StudentT, Uniform
 
 
 def small_config(**kw):
@@ -202,17 +203,47 @@ class TestRunPowerStudy:
         monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=flaky))
         cfg = small_config(test="ks-simple", trials=1000, sample_sizes=(25,))
         blocked = hz.run_power_study(cfg).rows
-        monkeypatch.setattr(hz, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
         assert hz.run_power_study(cfg).rows == blocked
         assert [r.failures for r in blocked] == [1, 1]
 
-    @pytest.mark.parametrize("test", ["et-simple", "ks-simple"])
+    @pytest.mark.parametrize("test", ["et-simple", "ks-simple", "et-regression", "ks-regression"])
     def test_block_size_does_not_change_rows(self, monkeypatch, test):
+        alternatives = (Normal(0, 1), StudentT(3, 1.0), Cauchy(0, 1))
+        kw = {}
+        if hz.TEST_KINDS[test].regression:
+            alternatives += (ARProcess((0.5,), Normal(0, 2)),)
+            kw = dict(null_spec=LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0), lilliefors_trials=1000)
+        cfg = small_config(test=test, alternatives=alternatives, sample_sizes=(25, 100), trials=300, **kw)
+        blocked = hz.run_power_study(cfg).rows
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        assert hz.run_power_study(cfg).rows == blocked
+
+    @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
+    def test_degenerate_regression_trial_counted_once(self, monkeypatch, test):
+        simulate = hz.simulate_model
+
+        def one_flat_design(model, n, seeds, error_process=None):
+            # trial 17 of every row gets a design with two intercept columns
+            y, X = simulate(model, n, seeds, error_process)
+            ids = [seeds.stream_id] if isinstance(seeds, SeedSpec) else [s.stream_id for s in seeds]
+            for b, stream_id in enumerate(ids):
+                if stream_id % (1 << 32) == 17:
+                    X.reshape(-1, n, model.k)[b, :, 1] = 1.0
+            return y, X
+
+        monkeypatch.setattr(hz, "simulate_model", one_flat_design)
         cfg = small_config(
-            test=test, alternatives=(Normal(0, 1), StudentT(3, 1.0), Cauchy(0, 1)), sample_sizes=(25, 100), trials=300
+            test=test,
+            alternatives=(Normal(0, 2),),
+            sample_sizes=(50,),
+            trials=1000,
+            null_spec=LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0),
+            lilliefors_trials=1000,
         )
         blocked = hz.run_power_study(cfg).rows
-        monkeypatch.setattr(hz, "_BLOCK_ELEMENTS", 1)
+        assert [r.failures for r in blocked] == [1]
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
         assert hz.run_power_study(cfg).rows == blocked
 
     def test_progress_hook(self):

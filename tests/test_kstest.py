@@ -1,16 +1,25 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropygof import kstest as ks
+from entropygof import sampling
 from entropygof.numerics import normal_cdf, normal_quantile
 from entropygof.regression import LinearModelSpec, ols_fit, simulate_model, standardized_residuals
 from entropygof.sampling import Normal, SeedSpec, sample
 
 K_ALPHA_05 = 1.3580986393225506  # frozen: bisection on the limit series at 40 digits
 D_GOLDEN_3PT = 0.1746780794018763  # 1/3 - Phi(-1)
+
+
+def _put_records(path, writer: int, count: int, start) -> None:
+    cache = ks.CalibrationCache(path)
+    start.wait(timeout=60)
+    for i in range(count):
+        cache.put(100 + i, 0.05, "abc", 1000, writer, 0.001 * i + writer)
 
 
 class TestStatistic:
@@ -164,6 +173,11 @@ class TestLilliefors:
         b = ks.lilliefors_calibrate(60, 0.05, self.model, 1500, SeedSpec(9, 0))
         assert a == b
 
+    def test_block_size_does_not_change_value(self, monkeypatch):
+        blocked = ks.lilliefors_calibrate(60, 0.05, self.model, 1000, SeedSpec(9, 5))
+        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        assert ks.lilliefors_calibrate(60, 0.05, self.model, 1000, SeedSpec(9, 5)) == blocked
+
     def test_below_simple_critical(self):
         # estimating parameters shrinks D; calibrated criticals reflect that
         crit = ks.lilliefors_critical(self.model, 120, 0.05, 3000, master_seed=11)
@@ -229,6 +243,29 @@ class TestCalibrationCache:
         reloaded = ks.CalibrationCache(path)
         assert reloaded.get(100, 0.05, "abc", 1000, 7) == 0.0815
         assert reloaded.get(50, 0.05, "abc", 1000, 1) is None
+
+    def test_two_concurrent_writers(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(2)
+        writers = [ctx.Process(target=_put_records, args=(path, w, 200, start)) for w in range(2)]
+        for p in writers:
+            p.start()
+        try:
+            for p in writers:
+                p.join(timeout=60)
+            assert not any(p.is_alive() for p in writers)
+        finally:
+            for p in writers:
+                if p.is_alive():
+                    p.kill()
+        assert [p.exitcode for p in writers] == [0, 0]
+        lines = path.read_text().splitlines()
+        assert sum(not line.startswith("#") for line in lines) == 400
+        cache = ks.CalibrationCache(path)
+        for w in range(2):
+            for i in range(200):
+                assert cache.get(100 + i, 0.05, "abc", 1000, w) == 0.001 * i + w
 
     def test_lilliefors_critical_uses_cache(self, tmp_path):
         model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)

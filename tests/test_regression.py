@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ols_fit_reference
+from hypothesis import given, settings, strategies as st
 
 from entropygof import regression as rg
 from entropygof.kstest import KsCriticalTable
-from entropygof.sampling import ARProcess, Normal, SeedSpec, sample, uniform_open01
+from entropygof.sampling import (
+    ARProcess,
+    Cauchy,
+    CenteredLogNormal,
+    MAProcess,
+    Normal,
+    SeedSpec,
+    sample,
+    uniform_open01,
+)
 
 MODEL = rg.LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
 
@@ -43,11 +54,31 @@ class TestOls:
         with pytest.raises(rg.DegenerateTrialError, match="rank"):
             rg.ols_fit(np.zeros(20), X)
 
+    def test_rank_deficient_row_spoils_block(self):
+        y, X = rg.simulate_model(MODEL, 20, [SeedSpec(2, t) for t in range(4)])
+        X[2, :, 1] = 0.5
+        with pytest.raises(rg.DegenerateTrialError, match="rank"):
+            rg.ols_fit(y, X)
+        rg.ols_fit(np.delete(y, 2, axis=0), np.delete(X, 2, axis=0))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             rg.ols_fit(np.zeros(3), np.ones((3, 3)))
         with pytest.raises(ValueError):
             rg.ols_fit(np.zeros(4), np.ones((3, 1)))
+        # blocks: B, n and the rank of y must match X
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros((2, 5)), np.ones((3, 5, 1)))
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros((2, 5)), np.ones((2, 6, 1)))
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros(5), np.ones((2, 5, 1)))
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros((1, 5)), np.ones((5, 1)))
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros((2, 3)), np.ones((2, 3, 3)))
+        with pytest.raises(ValueError):
+            rg.ols_fit(np.zeros((2, 2, 5)), np.ones((2, 2, 5, 1)))
 
     def test_residual_moments_match_leverages(self):
         # fixed design, simulated errors: var(e_j) ~= sigma2 * h_j
@@ -90,6 +121,12 @@ class TestRatioTransform:
     def test_zero_denominator(self):
         with pytest.raises(rg.DegenerateTrialError, match="degenerate"):
             rg.ratio_transform([1.0, 0.0])
+        with pytest.raises(rg.DegenerateTrialError, match="degenerate"):
+            rg.ratio_transform([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 0.0]])
+
+    def test_block_along_last_axis(self):
+        out = rg.ratio_transform([[1.0, 2.0, 3.0, 6.0, 99.0], [4.0, 2.0, -3.0, 1.0, 7.0]])
+        assert np.array_equal(out, [[0.5, 0.5], [2.0, -3.0]])
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -210,3 +247,56 @@ class TestModelSpec:
         y1, X1 = rg.simulate_model(MODEL, 50, SeedSpec(38, 2))
         y2, X2 = rg.simulate_model(MODEL, 50, SeedSpec(38, 2))
         assert np.array_equal(y1, y2) and np.array_equal(X1, X2)
+
+
+# the error processes of the regression presets and ROADMAP alternatives
+_ERROR_MENU = (
+    Normal(0.0, 2.0),
+    CenteredLogNormal(0.5),
+    Cauchy(0.0, 1.0),
+    MAProcess((0.5, -0.25), Normal(0.0, 2.0)),
+    ARProcess((0.5,), Normal(0.0, 2.0)),
+    ARProcess((1.0,), Normal(0.0, 2.0)),
+    ARProcess((0.3, 0.2, 0.1), Normal(0.0, 2.0)),
+)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        errors=st.sampled_from(_ERROR_MENU),
+        k=st.integers(1, 3),
+        data=st.data(),
+        trials=st.integers(1, 5),
+        master_seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**63),
+    )
+    def test_rows_match_single_trials(self, errors, k, data, trials, master_seed, first):
+        n = data.draw(st.integers(k + 1, 150), label="n")
+        model = rg.LinearModelSpec(beta=(1.0, 5.0, -2.0)[:k], sigma2=4.0, error_process=errors)
+        seeds = [SeedSpec(master_seed, first + t) for t in range(trials)]
+        y, X = rg.simulate_model(model, n, seeds)
+        assert y.shape == (trials, n) and X.shape == (trials, n, k)
+        fit = rg.ols_fit(y, X)
+        ratios = rg.ratio_transform(fit.residuals)
+        z = rg.standardized_residuals(fit)
+        distances = rg.null_trial_ks_distance(model, n, seeds)
+        for b, seed in enumerate(seeds):
+            y1, X1 = rg.simulate_model(model, n, seed)
+            assert _same(y[b], y1) and _same(X[b], X1)
+            one = rg.ols_fit(y1, X1)
+            assert isinstance(one.sigma2_hat, float)
+            for got, want in zip((one.beta_hat, one.residuals, one.leverages, one.sigma2_hat), ols_fit_reference(y1, X1)):
+                assert _same(got, want)
+            assert _same(fit.beta_hat[b], one.beta_hat)
+            assert _same(fit.residuals[b], one.residuals)
+            assert _same(fit.leverages[b], one.leverages)
+            assert _same(fit.sigma2_hat[b], one.sigma2_hat)
+            assert _same(ratios[b], rg.ratio_transform(one.residuals))
+            assert _same(z[b], rg.standardized_residuals(one))
+            assert _same(distances[b], rg.null_trial_ks_distance(model, n, seed))
