@@ -172,6 +172,7 @@ class PowerStudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
+        SeedSpec(self.master_seed)  # every trial stream is keyed by an unsigned 64-bit master seed
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
         kind = TEST_KINDS[self.test]

@@ -32,7 +32,9 @@ class MaxEntSolution:
 
     statistic is 2n * sum pi ln(n pi) (twice the sample size times the KL
     divergence from uniform), or +inf when the constraint is infeasible or
-    the iteration failed.
+    the iteration failed.  iterations counts the steps spent: 0 when the
+    constraint is infeasible on its face, 200 when the iteration stopped
+    at its cap.
     """
 
     weights: np.ndarray
@@ -56,7 +58,7 @@ def _tilt(g: np.ndarray, lam: float) -> tuple[np.ndarray, float, float, float]:
     return pi, m + math.log(z), mean, max(var, 0.0)
 
 
-def _infeasible(g: np.ndarray, residual: float) -> MaxEntSolution:
+def _infeasible(g: np.ndarray, residual: float, iterations: int = 0) -> MaxEntSolution:
     n = g.size
     return MaxEntSolution(
         weights=np.full(n, 1.0 / n),
@@ -65,6 +67,7 @@ def _infeasible(g: np.ndarray, residual: float) -> MaxEntSolution:
         statistic=math.inf,
         converged=False,
         residual=residual,
+        iterations=iterations,
     )
 
 
@@ -125,7 +128,7 @@ def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
             _, _, f_hi, _ = eval_at(hi)
             iterations += 1
             if iterations >= _MAX_ITER:
-                return _infeasible(g, residual=abs(mean))
+                return _infeasible(g, residual=abs(mean), iterations=iterations)
         # orient so that psi(lo) > 0 > psi(hi); psi is decreasing in lambda
         if f_lo < 0.0:
             lo, hi = hi, lo
@@ -147,7 +150,7 @@ def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
             lam = candidate if inside and math.isfinite(candidate) else 0.5 * (lo + hi)
             pi, log_z, mean, var = eval_at(lam)
         if abs(mean) > abs_tol:
-            return _infeasible(g, residual=abs(mean))
+            return _infeasible(g, residual=abs(mean), iterations=iterations)
 
     # 2n * KL(pi || uniform) from the dual identity: ln pi_j = -lam g_j - ln Z
     stat = 2.0 * n * (math.log(n) - log_z - lam * mean)

@@ -25,7 +25,7 @@ from .kstest import KsCriticalTable, ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
 from .results import TestResult, chi2_1_decision
-from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, uniform_open01
+from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, uniform_block, uniform_shape
 
 __all__ = [
     "DegenerateTrialError",
@@ -75,14 +75,6 @@ class LinearModelSpec:
 
     def null_errors(self) -> Normal:
         return Normal(0.0, math.sqrt(self.sigma2))
-
-    def design_matrix(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        if n <= self.k:
-            raise ValueError("need more observations than coefficients")
-        cols = [np.ones(n)]
-        for _ in range(self.k - 1):
-            cols.append(uniform_open01(gen, n))
-        return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -201,14 +193,22 @@ def simulate_model(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One simulated (y, X) draw: fresh design first, then the error path.
 
-    Given a sequence of B seeds it returns y of shape (B, n) and X of shape
-    (B, n, k); each trial draws its design and then its errors from its own
-    stream, so row b is bit-identical to the draw of seeds[b] alone.
+    The trial's stream gives the k - 1 design columns, n uniforms each,
+    and then the uniforms of the errors.  Given a sequence of B seeds it
+    returns y of shape (B, n) and X of shape (B, n, k); each trial draws
+    from its own stream, so row b is bit-identical to the draw of seeds[b]
+    alone.
     """
+    if n <= model.k:
+        raise ValueError("need more observations than coefficients")
+    errors = error_process or model.error_process
     single = isinstance(seed, SeedSpec)
-    gens = [s.generator() for s in ([seed] if single else seed)]
-    X = np.stack([model.design_matrix(n, gen) for gen in gens])
-    y = X @ np.asarray(model.beta) + sample_using(error_process or model.error_process, n, gens)
+    seeds = [seed] if single else seed
+    d = (model.k - 1) * n
+    u = uniform_block(seeds, d + math.prod(uniform_shape(errors, n)))
+    X = np.ones((len(seeds), n, model.k))
+    X[:, :, 1:] = u[:, :d].reshape(len(seeds), model.k - 1, n).transpose(0, 2, 1)
+    y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
     return (y[0], X[0]) if single else (y, X)
 
 

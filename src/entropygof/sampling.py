@@ -3,7 +3,9 @@
 Streams are built on numpy's counter-based Philox generator: the pair
 (master_seed, stream_id) is the 128-bit Philox key, so every stream is
 fully determined by its SeedSpec and distinct stream ids are independent
-by construction.  All continuous draws are derived from uniforms on the
+by construction.  A stream is its key with the counter at zero, so one
+Philox re-keyed per seed yields the streams of a whole block of trials
+(uniform_block).  All continuous draws are derived from uniforms on the
 open interval (0, 1); normals come from the package's own quantile
 function so that output is bit-identical across platforms.
 """
@@ -32,7 +34,9 @@ __all__ = [
     "sample",
     "sample_using",
     "seed_blocks",
+    "uniform_block",
     "uniform_open01",
+    "uniform_shape",
     "cdf",
     "centered_lognormal_params",
     "spec_label",
@@ -57,9 +61,13 @@ class SeedSpec:
             if not (0 <= v <= _U64_MAX):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
+    @property
+    def key(self) -> tuple[int, int]:
+        """The two 64-bit words of the stream's Philox key."""
+        return self.master_seed, self.stream_id
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
 def seed_blocks(master_seed: int, first: int, stop: int, n: int) -> Iterator[list[SeedSpec]]:
@@ -73,6 +81,33 @@ def seed_blocks(master_seed: int, first: int, stop: int, n: int) -> Iterator[lis
 def uniform_open01(gen: np.random.Generator, size: int | tuple) -> np.ndarray:
     """Uniform draws strictly inside (0, 1) with 53-bit resolution."""
     return (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+
+
+def uniform_block(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
+    """(B, count) uniforms: row b is uniform_open01(seeds[b].generator(), count).
+
+    One Philox serves the block: each seed sets its key, a zero counter and
+    an empty buffer, and its raw 64-bit words fill row b.  For the
+    power-of-two range 2**53, Generator.integers uses Lemire's method, which
+    never rejects and returns raw >> 11, so the rows equal the generator's
+    draws bit for bit (tests/test_sampling.py checks this on the installed
+    numpy).
+    """
+    bits = np.random.Philox()
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = np.empty((len(seeds), count), dtype=np.uint64)
+    for b, seed in enumerate(seeds):
+        state["state"]["key"] = seed.key
+        bits.state = state
+        raw[b] = bits.random_raw(count)
+    return ((raw >> 11) + 0.5) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +264,26 @@ def _ar_recurse(rho: tuple[float, ...], u: np.ndarray) -> np.ndarray:
     return np.array(paths).reshape(u.shape)
 
 
-def _draw(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
-    """The uniforms that n values of spec consume from gen, in stream order."""
+def uniform_shape(spec: DistributionSpec, n: int) -> tuple[int, ...]:
+    """Shape of the uniforms that n values of spec consume, in stream order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(spec, (Normal, Uniform, Exponential, Cauchy, CenteredLogNormal)):
-        return uniform_open01(gen, n)
+        return (n,)
     if isinstance(spec, StudentT):
         # numerator normals first, then dof rows of denominator normals
-        return uniform_open01(gen, (spec.dof + 1, n))
+        return (spec.dof + 1, n)
     if isinstance(spec, ARProcess):
-        return _draw(spec.innovation, n if spec.is_random_walk else n + _AR_BURN_IN, gen)
+        return uniform_shape(spec.innovation, n if spec.is_random_walk else n + _AR_BURN_IN)
     if isinstance(spec, MAProcess):
-        return _draw(spec.innovation, n + len(spec.theta), gen)
+        return uniform_shape(spec.innovation, n + len(spec.theta))
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
 def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
-    """Values of spec from the uniforms _draw returned; a leading axis of u
-    stacks trials, and each trial's values are those of its own draw."""
+    """Values of spec from uniforms of shape uniform_shape(spec, n); a
+    leading axis of u stacks trials, and each trial's values are those of
+    its own uniforms."""
     if isinstance(spec, Normal):
         return spec.mu + spec.sigma * normal_quantile(u)
     if isinstance(spec, Uniform):
@@ -279,17 +315,17 @@ def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
-def sample_using(
-    spec: DistributionSpec, n: int, gen: np.random.Generator | Sequence[np.random.Generator]
-) -> np.ndarray:
+def sample_using(spec: DistributionSpec, n: int, source: np.random.Generator | np.ndarray) -> np.ndarray:
     """Draw n values of spec, consuming state from an existing generator.
 
-    Given B generators it returns a (B, n) block: row b is drawn from
-    generator b, and the variate map then runs once over the whole block.
+    Given a (B, count) block of uniforms from uniform_block, with count the
+    size of uniform_shape(spec, n), it returns the (B, n) values of its
+    rows; the variate map runs once over the whole block.
     """
-    if isinstance(gen, np.random.Generator):
-        return _map(spec, _draw(spec, n, gen))
-    return _map(spec, np.stack([_draw(spec, n, g) for g in gen]))
+    shape = uniform_shape(spec, n)
+    if isinstance(source, np.random.Generator):
+        return _map(spec, uniform_open01(source, shape))
+    return _map(spec, source.reshape((len(source),) + shape))
 
 
 def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) -> np.ndarray:
@@ -301,9 +337,10 @@ def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) 
     bit-identical to sample(spec, n, seeds[b]): each row is drawn from its
     own stream.
     """
-    if isinstance(seed, SeedSpec):
-        return sample_using(spec, n, seed.generator())
-    return sample_using(spec, n, [s.generator() for s in seed])
+    single = isinstance(seed, SeedSpec)
+    u = uniform_block([seed] if single else seed, math.prod(uniform_shape(spec, n)))
+    x = sample_using(spec, n, u)
+    return x[0] if single else x
 
 
 # ---------------------------------------------------------------------------

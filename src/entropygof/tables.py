@@ -11,8 +11,9 @@ Each preset reproduces one reference table at configurable trial counts:
 
 Reference values carry the original 100,000-trial study's rounding; at desk
 scale (10,000 trials) agreement is statistical, within a few Monte Carlo
-standard errors.  See the decisions notes for the two known systematic
-exceptions (the a4 statistic convention and the a6 small-n size column).
+standard errors.  Two systematic exceptions are known: the a4 statistic
+convention (see the criterion-5 paragraph of README.md) and the a6 size
+column at small n, which the acceptance suite checks only at n = 500.
 """
 
 from __future__ import annotations

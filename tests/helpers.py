@@ -5,7 +5,8 @@ enumerates feasible weight vectors on a grid and never touches the dual
 solver; the KL oracle computes the entropy statistic from the weights
 instead of the dual identity the solver uses; the erf oracle is a plain
 Maclaurin series; the least-squares reference fits one matrix with
-unstacked numpy calls.
+unstacked numpy calls; the model reference draws one trial from its own
+Generator, column by column.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from entropygof.sampling import sample_using, uniform_open01
 
 
 def erf_series(x: float, terms: int = 60) -> float:
@@ -52,6 +55,17 @@ def ols_fit_reference(y, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     residuals = y - X @ beta_hat
     leverages = 1.0 - np.einsum("ij,ij->i", q, q)
     return beta_hat, residuals, leverages, float(residuals @ residuals) / (n - k)
+
+
+def simulate_model_reference(model, n: int, seed, error_process=None) -> tuple[np.ndarray, np.ndarray]:
+    """(y, X) of one trial from seed.generator(): the intercept, then k - 1
+    design columns of n uniforms each, then the errors, all drawn from the
+    one Generator that simulate_model's block streams must reproduce bit
+    for bit."""
+    gen = seed.generator()
+    X = np.column_stack([np.ones(n)] + [uniform_open01(gen, n) for _ in range(model.k - 1)])
+    y = X @ np.asarray(model.beta) + sample_using(error_process or model.error_process, n, gen)
+    return y, X
 
 
 def normal_cdf_series(x: float) -> float:

@@ -53,6 +53,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(null_spec=model)
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_outside_u64(self, master_seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            small_config(master_seed=master_seed)
+
     def test_label_mismatch(self):
         with pytest.raises(ValueError):
             small_config(labels=("only-one",))

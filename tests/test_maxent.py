@@ -35,6 +35,14 @@ class TestSolve:
         s = solve_maxent([-0.2, -0.4])
         assert not s.converged and math.isinf(s.statistic)
 
+    def test_iteration_cap_reports_steps_spent(self):
+        # a tolerance no float can meet runs the iteration to its cap, which
+        # must read apart from an infeasible input, where no step is spent
+        s = solve_maxent([-1.0, 0.3, 2.0, 0.5], tol=1e-300)
+        assert not s.converged and math.isinf(s.statistic)
+        assert s.iterations == 200
+        assert solve_maxent([1.0, 2.0, 3.0]).iterations == 0
+
     def test_feasibility_margin(self):
         # zero at the edge of the hull counts as infeasible
         s = solve_maxent([0.0, 1.0, 2.0])

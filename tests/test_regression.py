@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ols_fit_reference
+from helpers import ols_fit_reference, simulate_model_reference
 from hypothesis import given, settings, strategies as st
 
 from entropygof import regression as rg
@@ -83,8 +83,7 @@ class TestOls:
     def test_residual_moments_match_leverages(self):
         # fixed design, simulated errors: var(e_j) ~= sigma2 * h_j
         n, k, trials = 50, 2, 10000
-        gen = SeedSpec(31, 0).generator()
-        X = MODEL.design_matrix(n, gen)
+        _, X = simulate_model_reference(MODEL, n, SeedSpec(31, 0))
         sums = np.zeros(n)
         squares = np.zeros(n)
         for t in range(trials):
@@ -166,8 +165,7 @@ class TestRegressionEt:
         # beta = 0 and power-of-two sigma ratio: IEEE scaling is exact along
         # the whole QR/ratio path, so the statistic is bit-identical
         model0 = rg.LinearModelSpec(beta=(0.0, 0.0), sigma2=1.0)
-        gen = SeedSpec(36, 0).generator()
-        X = model0.design_matrix(500, gen)
+        _, X = simulate_model_reference(model0, 500, SeedSpec(36, 0))
         u = uniform_open01(SeedSpec(36, 1).generator(), 500)
         from entropygof.numerics import normal_quantile
 
@@ -177,8 +175,7 @@ class TestRegressionEt:
         assert r1.statistic == r2.statistic
 
     def test_scale_invariance_decisions_general(self):
-        gen = SeedSpec(36, 2).generator()
-        X = MODEL.design_matrix(400, gen)
+        _, X = simulate_model_reference(MODEL, 400, SeedSpec(36, 2))
         from entropygof.numerics import normal_quantile
 
         eps = normal_quantile(uniform_open01(SeedSpec(36, 3).generator(), 400))
@@ -211,8 +208,7 @@ class TestRegressionKs:
         assert rg.run_regression_ks(y, X, 0.05, loose).p_value is None
 
     def test_standardized_residuals_scale_free(self):
-        gen = SeedSpec(37, 3).generator()
-        X = MODEL.design_matrix(100, gen)
+        _, X = simulate_model_reference(MODEL, 100, SeedSpec(37, 3))
         from entropygof.numerics import normal_quantile
 
         eps = normal_quantile(uniform_open01(SeedSpec(37, 4).generator(), 100))
@@ -231,14 +227,14 @@ class TestModelSpec:
             rg.LinearModelSpec(beta=(1.0,), sigma2=0.0)
 
     def test_design_shape_and_intercept(self):
-        X = MODEL.design_matrix(40, SeedSpec(38, 0).generator())
+        _, X = rg.simulate_model(MODEL, 40, SeedSpec(38, 0))
         assert X.shape == (40, 2)
         assert np.all(X[:, 0] == 1.0)
         assert np.all((X[:, 1] > 0.0) & (X[:, 1] < 1.0))
 
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
-            MODEL.design_matrix(2, SeedSpec(38, 1).generator())
+            rg.simulate_model(MODEL, 2, SeedSpec(38, 1))
 
     def test_null_errors(self):
         assert MODEL.null_errors() == Normal(0.0, 2.0)
@@ -289,6 +285,8 @@ class TestBlocks:
         for b, seed in enumerate(seeds):
             y1, X1 = rg.simulate_model(model, n, seed)
             assert _same(y[b], y1) and _same(X[b], X1)
+            y0, X0 = simulate_model_reference(model, n, seed)
+            assert _same(y1, y0) and _same(X1, X0)
             one = rg.ols_fit(y1, X1)
             assert isinstance(one.sigma2_hat, float)
             for got, want in zip((one.beta_hat, one.residuals, one.leverages, one.sigma2_hat), ols_fit_reference(y1, X1)):

@@ -172,7 +172,44 @@ _MENU = (
 )
 
 
+# unsigned 64-bit key words, with both ends of the range always in play
+_KEY_WORDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
+
+
 class TestBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        count=st.integers(1, 4200),
+        master_seeds=st.lists(_KEY_WORDS, min_size=1, max_size=4),
+        stream_ids=st.lists(_KEY_WORDS, min_size=1, max_size=4),
+    )
+    def test_uniform_block_matches_generator(self, count, master_seeds, stream_ids):
+        # the counter-based layout: a stream is its key with the counter at zero
+        seeds = [sp.SeedSpec(m, s) for m, s in zip(master_seeds, stream_ids)]
+        block = sp.uniform_block(seeds, count)
+        assert block.shape == (len(seeds), count)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == sp.uniform_open01(seed.generator(), count).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(_MENU),
+        n=st.integers(1, 150),
+        trials=st.integers(1, 6),
+        master_seed=_KEY_WORDS,
+        first=st.integers(0, 2**63),
+    )
+    def test_rows_match_generator_draws(self, spec, n, trials, master_seed, first):
+        seeds = [sp.SeedSpec(master_seed, first + t) for t in range(trials)]
+        block = sp.sample(spec, n, seeds)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == sp.sample_using(spec, n, seed.generator()).tobytes()
+
+    def test_block_must_fit_the_spec(self):
+        u = sp.uniform_block([sp.SeedSpec(3, 0), sp.SeedSpec(3, 1)], 10)
+        with pytest.raises(ValueError):
+            sp.sample_using(sp.Normal(), 11, u)
+
     @settings(max_examples=80, deadline=None)
     @given(
         spec=st.sampled_from(_MENU),
