@@ -100,7 +100,7 @@ def _et_simple_context(config: PowerStudyConfig, cache) -> tuple:
 def _et_simple_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
     mu, sigma, constraint = context
     g = constraint.values(standardize(sample(alt, n, seeds), mu, sigma))
-    return np.array([solve_maxent(row).statistic for row in g])
+    return solve_maxent(g).statistic
 
 
 def _ks_simple_context(config: PowerStudyConfig, cache) -> Callable:
@@ -122,7 +122,7 @@ def _et_regression_context(config: PowerStudyConfig, cache) -> LinearModelSpec:
 def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
     y, X = simulate_model(model, n, seeds, error_process=alt)
     z = ratio_transform(ols_fit(y, X).residuals)
-    return np.array([solve_maxent(row).statistic for row in np.sin(z)])
+    return solve_maxent(np.sin(z)).statistic
 
 
 def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:

@@ -11,6 +11,13 @@ bisection fallback on a sign-change bracket always converges.
 A constraint with all g_j strictly on one side of zero meets the open
 simplex nowhere; such inputs are flagged non-converged with an infinite
 statistic, which downstream decision rules record as a rejection.
+
+The rows of a (B, n) block are independent problems, so the solver runs
+them together: each phase -- the start at lambda = 0, the bracket
+doubling, the Newton steps -- makes one pass of numpy calls per step for
+all rows still in it, and a row leaves when it meets its own tolerance or
+the step cap.  The arithmetic of each row is that of a vector solved
+alone, so a row's solution does not depend on the block around it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ __all__ = ["MaxEntSolution", "solve_maxent"]
 
 _MAX_ITER = 200
 _FEASIBILITY_MARGIN = 1e-14
+# max |g_j| of a nonzero row: half of float64's exponent range either way,
+# so g_j**2 stays finite and normal, and so do 1 / max |g_j| and the lambdas
+_MIN_SCALE = 2.0 ** (np.finfo(np.float64).minexp // 2)
+_MAX_SCALE = 2.0 ** (np.finfo(np.float64).maxexp // 2 - 1)
 
 
 @dataclass(frozen=True)
@@ -35,131 +46,225 @@ class MaxEntSolution:
     the iteration failed.  iterations counts the steps spent: 0 when the
     constraint is infeasible on its face, 200 when the iteration stopped
     at its cap.
+
+    The solution of a (B, n) block has (B, n) weights and one entry per
+    row in lam, log_partition, statistic and residual; its iterations is
+    the steps spent summed over the rows, and converged is true when every
+    row converged.
     """
 
     weights: np.ndarray
-    lam: float
-    log_partition: float
-    statistic: float
+    lam: float | np.ndarray
+    log_partition: float | np.ndarray
+    statistic: float | np.ndarray
     converged: bool
-    residual: float
+    residual: float | np.ndarray
     iterations: int = 0
 
 
-def _tilt(g: np.ndarray, lam: float) -> tuple[np.ndarray, float, float, float]:
-    """Weights, log partition, tilted mean and variance of g at lambda."""
-    x = -lam * g
-    m = x.max()
-    w = np.exp(x - m)
-    z = w.sum()
-    pi = w / z
-    mean = float(pi @ g)
-    var = float(pi @ (g * g)) - mean * mean
-    return pi, m + math.log(z), mean, max(var, 0.0)
+def _moments(pi: np.ndarray, g: np.ndarray, gg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted mean and variance of g under the weights pi, row by row; gg is
+    g * g.  The dot products are (1, n) @ (n, 1) matmuls, which reduce
+    exactly as pi @ g does."""
+    mean = (pi[..., None, :] @ g[..., :, None])[..., 0, 0]
+    var = (pi[..., None, :] @ gg[..., :, None])[..., 0, 0] - mean * mean
+    return mean, np.maximum(var, 0.0)
 
 
-def _infeasible(g: np.ndarray, residual: float, iterations: int = 0) -> MaxEntSolution:
-    n = g.size
-    return MaxEntSolution(
-        weights=np.full(n, 1.0 / n),
-        lam=math.nan,
-        log_partition=math.log(n),
-        statistic=math.inf,
-        converged=False,
-        residual=residual,
-        iterations=iterations,
-    )
+def _tilt(g: np.ndarray, lam, gg: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Weights, exponent max m, tilted mean and variance of g at lambda, and
+    the partition sum z, so that log Z = m + ln z.  g is one vector and lam
+    a number, or g is a (B, n) block and lam holds one value per row."""
+    # x = -lam g, then in place: x - m, w = exp(x - m), pi = w / z
+    pi = -np.asarray(lam)[..., None] * g
+    m = pi.max(axis=-1)
+    pi -= m[..., None]
+    np.exp(pi, out=pi)
+    z = pi.sum(axis=-1)
+    pi /= z[..., None]
+    mean, var = _moments(pi, g, g * g if gg is None else gg)
+    return pi, m, mean, var, z
+
+
+class _Rows:
+    """The per-row results of a block solve, filled as rows finish.
+
+    Every row starts as the uniform solution of an all-zero constraint."""
+
+    def __init__(self, b: int, n: int) -> None:
+        self.n = n
+        self.weights = np.full((b, n), 1.0 / n)
+        self.lam = np.zeros(b)
+        self.log_partition = np.full(b, math.log(n))
+        self.statistic = np.zeros(b)
+        self.converged = np.ones(b, dtype=bool)
+        self.residual = np.zeros(b)
+        self.iterations = np.zeros(b, dtype=np.int64)
+
+    def record_failed(self, rows: np.ndarray, residual: np.ndarray, iterations=0) -> None:
+        """Infeasible rows, or rows whose iteration stopped at its cap."""
+        self.lam[rows] = math.nan
+        self.statistic[rows] = math.inf
+        self.converged[rows] = False
+        self.residual[rows] = residual
+        self.iterations[rows] = iterations
+
+    def record_solved(self, rows, pi, lam, m, z, mean, iterations) -> None:
+        """Rows that met their tolerance at lam."""
+        n = self.n
+        log_n = math.log(n)
+        log_z = [mj + math.log(zj) for mj, zj in zip(m.tolist(), z.tolist())]
+        # 2n * KL(pi || uniform) from the dual identity: ln pi_j = -lam g_j - ln Z
+        stat = [
+            max(2.0 * n * (log_n - lz - lj * mu), 0.0) for lz, lj, mu in zip(log_z, lam.tolist(), mean.tolist())
+        ]
+        self.weights[rows] = pi
+        self.lam[rows] = lam
+        self.log_partition[rows] = log_z
+        self.statistic[rows] = stat
+        self.residual[rows] = np.abs(mean)
+        self.iterations[rows] = iterations
+
+
+def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
+    b, n = g.shape
+    out = _Rows(b, n)
+    # a huge tol overflows to inf, which accepts lambda = 0 as any tol >= 1
+    # does; inf * 0 on an all-zero row is never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_tol = tol * scale
+    margin = _FEASIBILITY_MARGIN * scale
+    feasible = (g.min(axis=1) + margin < 0.0) & (0.0 < g.max(axis=1) - margin)
+    infeasible = np.flatnonzero(~feasible & (scale != 0.0))
+    out.record_failed(infeasible, np.abs(g[infeasible].mean(axis=1)))
+
+    # start: at lambda = 0 every weight is 1/n exactly (w = 1, z = n)
+    rows = np.flatnonzero(feasible)
+    ga = g if rows.size == b else g[rows]
+    gga = ga * ga
+    mean, var = _moments(np.full_like(ga, 1.0 / n), ga, gga)
+    done = np.abs(mean) <= abs_tol[rows]
+    if done.any():
+        zeros = np.zeros(np.count_nonzero(done))
+        out.record_solved(rows[done], 1.0 / n, zeros, zeros, np.full_like(zeros, n), mean[done], 0)
+        keep = ~done
+        rows, ga, gga, mean, var = rows[keep], ga[keep], gga[keep], mean[keep], var[keep]
+    if rows.size == 0:
+        return out
+
+    # bracket a sign change of the tilted mean by doubling outward from 0;
+    # the rows step together, so they share one step count
+    row_scale = scale[rows]
+    step = 1.0 / row_scale
+    curved = var > 0.0
+    step[curved] = np.abs(mean[curved]) / var[curved]
+    step = np.maximum(step, 1e-3 / row_scale)
+    mean0, lo, f_lo = mean, np.zeros_like(mean), mean
+    hi = np.where(mean > 0.0, step, -step)
+    f_hi = _tilt(ga, hi, gga)[2]
+    iterations = 1
+    bracketed: list[tuple[np.ndarray, ...]] = []
+    while True:
+        crossed = ~(f_lo * f_hi > 0.0)
+        if crossed.any():
+            # orient so that psi(lo) > 0 > psi(hi); psi is decreasing in lambda
+            up = f_lo[crossed] < 0.0
+            lo_c, hi_c = lo[crossed], hi[crossed]
+            bracketed.append(
+                (rows[crossed], np.where(up, hi_c, lo_c), np.where(up, lo_c, hi_c), np.full(up.size, iterations))
+            )
+            keep = ~crossed
+            rows, ga, gga, mean0, hi, f_hi = (a[keep] for a in (rows, ga, gga, mean0, hi, f_hi))
+        if rows.size == 0:
+            break
+        lo, f_lo = hi, f_hi
+        hi = hi * 2.0
+        f_hi = _tilt(ga, hi, gga)[2]
+        iterations += 1
+        if iterations >= _MAX_ITER:
+            out.record_failed(rows, np.abs(mean0), iterations)
+            break
+    if not bracketed:
+        return out
+
+    # safeguarded Newton steps inside each row's bracket
+    rows, lo, hi, iterations = (np.concatenate(parts) for parts in zip(*bracketed))
+    ga = g[rows]
+    gga = ga * ga
+    abs_tol = abs_tol[rows]
+    lam = 0.5 * (lo + hi)
+    pi, m, mean, var, z = _tilt(ga, lam, gga)
+    while True:
+        unmet = np.abs(mean) > abs_tol
+        active = unmet & (iterations < _MAX_ITER)
+        if not active.all():
+            met = ~unmet
+            out.record_solved(rows[met], pi[met], lam[met], m[met], z[met], mean[met], iterations[met])
+            capped = unmet & ~active
+            out.record_failed(rows[capped], np.abs(mean[capped]), iterations[capped])
+            rows, ga, gga, abs_tol, lam, lo, hi, mean, var, iterations = (
+                a[active] for a in (rows, ga, gga, abs_tol, lam, lo, hi, mean, var, iterations)
+            )
+        if rows.size == 0:
+            return out
+        iterations += 1
+        rising = mean > 0.0
+        lo = np.where(rising, lam, lo)
+        hi = np.where(rising, hi, lam)
+        # Newton on the decreasing dual mean, where the variance allows it
+        candidate = np.full_like(lam, math.nan)
+        np.divide(mean, var, out=candidate, where=var > 0.0)
+        candidate = lam + candidate
+        inside = (np.minimum(lo, hi) < candidate) & (candidate < np.maximum(lo, hi))
+        lam = np.where(inside, candidate, 0.5 * (lo + hi))
+        pi, m, mean, var, z = _tilt(ga, lam, gga)
 
 
 def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
     """Solve for the entropy-maximal weights satisfying sum pi_j g_j = 0.
 
+    g is one vector of n >= 2 constraint values, or a (B, n) block of B
+    independent problems, one per row; each row's solution is the one the
+    row gets alone, bit for bit (MaxEntSolution says how a block's fields
+    read).
+
     tol is relative to max |g_j|.  Inputs where zero lies outside the open
     interval (min g, max g) -- all constraint values on one side -- are
     infeasible and come back non-converged with an infinite statistic.
+    max |g_j| of each row must be 0 or lie in [2**-511, 2**511], about
+    1.5e-154 to 6.7e153: half of float64's exponent range either way, so
+    that the squares g_j**2 stay finite and normal.  Rows outside raise
+    ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 1 or g.size < 2:
-        raise ValueError("constraint values must be a vector of length >= 2")
+    if g.ndim not in (1, 2) or g.shape[-1] < 2:
+        raise ValueError("constraint values must be a vector of length >= 2, or a block of such rows")
     if not np.all(np.isfinite(g)):
         raise ValueError("constraint values must be finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    block = np.ascontiguousarray(g.reshape(-1, g.shape[-1]))
+    scale = np.abs(block).max(axis=1)
+    if np.any((scale != 0.0) & ~((_MIN_SCALE <= scale) & (scale <= _MAX_SCALE))):
+        raise ValueError("max |g_j| of each row must be 0 or lie in [2**-511, 2**511]")
 
-    n = g.size
-    scale = float(np.max(np.abs(g)))
-    if scale == 0.0:
-        # constraint trivially satisfied by the uniform weights
+    out = _solve_rows(block, scale, tol)
+    if g.ndim == 1:
         return MaxEntSolution(
-            weights=np.full(n, 1.0 / n),
-            lam=0.0,
-            log_partition=math.log(n),
-            statistic=0.0,
-            converged=True,
-            residual=0.0,
-            iterations=0,
+            weights=out.weights[0],
+            lam=float(out.lam[0]),
+            log_partition=float(out.log_partition[0]),
+            statistic=float(out.statistic[0]),
+            converged=bool(out.converged[0]),
+            residual=float(out.residual[0]),
+            iterations=int(out.iterations[0]),
         )
-
-    margin = _FEASIBILITY_MARGIN * scale
-    lo_g, hi_g = float(g.min()), float(g.max())
-    if not (lo_g + margin < 0.0 < hi_g - margin):
-        return _infeasible(g, residual=abs(float(g.mean())))
-
-    abs_tol = tol * scale
-
-    def eval_at(lam: float) -> tuple[np.ndarray, float, float, float]:
-        return _tilt(g, lam)
-
-    lam = 0.0
-    pi, log_z, mean, var = eval_at(lam)
-    iterations = 0
-    if abs(mean) > abs_tol:
-        # bracket a sign change of the tilted mean by doubling outward from 0
-        direction = 1.0 if mean > 0.0 else -1.0
-        step = abs(mean) / var if var > 0.0 else 1.0 / scale
-        step = max(step, 1e-3 / scale)
-        lo, f_lo = 0.0, mean
-        hi = direction * step
-        _, _, f_hi, _ = eval_at(hi)
-        iterations += 1
-        while f_lo * f_hi > 0.0:
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            _, _, f_hi, _ = eval_at(hi)
-            iterations += 1
-            if iterations >= _MAX_ITER:
-                return _infeasible(g, residual=abs(mean), iterations=iterations)
-        # orient so that psi(lo) > 0 > psi(hi); psi is decreasing in lambda
-        if f_lo < 0.0:
-            lo, hi = hi, lo
-            f_lo, f_hi = f_hi, f_lo
-
-        lam = 0.5 * (lo + hi)
-        pi, log_z, mean, var = eval_at(lam)
-        while abs(mean) > abs_tol and iterations < _MAX_ITER:
-            iterations += 1
-            if mean > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            if var > 0.0:
-                candidate = lam + mean / var  # Newton on the decreasing dual mean
-            else:
-                candidate = math.nan
-            inside = min(lo, hi) < candidate < max(lo, hi)
-            lam = candidate if inside and math.isfinite(candidate) else 0.5 * (lo + hi)
-            pi, log_z, mean, var = eval_at(lam)
-        if abs(mean) > abs_tol:
-            return _infeasible(g, residual=abs(mean), iterations=iterations)
-
-    # 2n * KL(pi || uniform) from the dual identity: ln pi_j = -lam g_j - ln Z
-    stat = 2.0 * n * (math.log(n) - log_z - lam * mean)
     return MaxEntSolution(
-        weights=pi,
-        lam=lam,
-        log_partition=log_z,
-        statistic=max(stat, 0.0),
-        converged=True,
-        residual=abs(mean),
-        iterations=iterations,
+        weights=out.weights,
+        lam=out.lam,
+        log_partition=out.log_partition,
+        statistic=out.statistic,
+        converged=bool(out.converged.all()),
+        residual=out.residual,
+        iterations=int(out.iterations.sum()),
     )

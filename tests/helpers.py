@@ -6,7 +6,8 @@ solver; the KL oracle computes the entropy statistic from the weights
 instead of the dual identity the solver uses; the erf oracle is a plain
 Maclaurin series; the least-squares reference fits one matrix with
 unstacked numpy calls; the model reference draws one trial from its own
-Generator, column by column.
+Generator, column by column; the dual-solve reference solves one vector
+with scalar Python control flow.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from entropygof.maxent import MaxEntSolution
 from entropygof.sampling import sample_using, uniform_open01
 
 
@@ -55,6 +57,77 @@ def ols_fit_reference(y, X) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     residuals = y - X @ beta_hat
     leverages = 1.0 - np.einsum("ij,ij->i", q, q)
     return beta_hat, residuals, leverages, float(residuals @ residuals) / (n - k)
+
+
+def _tilt_reference(g: np.ndarray, lam: float) -> tuple[np.ndarray, float, float, float]:
+    x = -lam * g
+    m = x.max()
+    w = np.exp(x - m)
+    z = w.sum()
+    pi = w / z
+    mean = float(pi @ g)
+    var = float(pi @ (g * g)) - mean * mean
+    return pi, m + math.log(z), mean, max(var, 0.0)
+
+
+def _infeasible_reference(g: np.ndarray, residual: float, iterations: int = 0) -> MaxEntSolution:
+    n = g.size
+    return MaxEntSolution(np.full(n, 1.0 / n), math.nan, math.log(n), math.inf, False, residual, iterations)
+
+
+def solve_maxent_reference(g, tol: float = 1e-10) -> MaxEntSolution:
+    """One vector's dual solve by the scalar algorithm that every row of the
+    block solve_maxent must reproduce bit for bit: bracket doubling from
+    lambda = 0, then safeguarded Newton steps with a bisection fallback,
+    at most 200 steps."""
+    g = np.asarray(g, dtype=np.float64)
+    n = g.size
+    scale = float(np.max(np.abs(g)))
+    if scale == 0.0:
+        return MaxEntSolution(np.full(n, 1.0 / n), 0.0, math.log(n), 0.0, True, 0.0, 0)
+    margin = 1e-14 * scale
+    if not (float(g.min()) + margin < 0.0 < float(g.max()) - margin):
+        return _infeasible_reference(g, residual=abs(float(g.mean())))
+
+    abs_tol = tol * scale
+    lam = 0.0
+    pi, log_z, mean, var = _tilt_reference(g, lam)
+    iterations = 0
+    if abs(mean) > abs_tol:
+        direction = 1.0 if mean > 0.0 else -1.0
+        step = abs(mean) / var if var > 0.0 else 1.0 / scale
+        step = max(step, 1e-3 / scale)
+        lo, f_lo = 0.0, mean
+        hi = direction * step
+        _, _, f_hi, _ = _tilt_reference(g, hi)
+        iterations += 1
+        while f_lo * f_hi > 0.0:
+            lo, f_lo = hi, f_hi
+            hi *= 2.0
+            _, _, f_hi, _ = _tilt_reference(g, hi)
+            iterations += 1
+            if iterations >= 200:
+                return _infeasible_reference(g, residual=abs(mean), iterations=iterations)
+        if f_lo < 0.0:
+            lo, hi = hi, lo
+
+        lam = 0.5 * (lo + hi)
+        pi, log_z, mean, var = _tilt_reference(g, lam)
+        while abs(mean) > abs_tol and iterations < 200:
+            iterations += 1
+            if mean > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            candidate = lam + mean / var if var > 0.0 else math.nan
+            inside = min(lo, hi) < candidate < max(lo, hi)
+            lam = candidate if inside and math.isfinite(candidate) else 0.5 * (lo + hi)
+            pi, log_z, mean, var = _tilt_reference(g, lam)
+        if abs(mean) > abs_tol:
+            return _infeasible_reference(g, residual=abs(mean), iterations=iterations)
+
+    stat = 2.0 * n * (math.log(n) - log_z - lam * mean)
+    return MaxEntSolution(pi, lam, log_z, max(stat, 0.0), True, abs(mean), iterations)
 
 
 def simulate_model_reference(model, n: int, seed, error_process=None) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from entropygof.maxent import MaxEntSolution, solve_maxent
 from entropygof.maxent import _tilt
-from helpers import et_statistic, random_feasible_g, simplex_grid_entropy
+from helpers import et_statistic, random_feasible_g, simplex_grid_entropy, solve_maxent_reference
 
 # frozen closed forms
 TWO_POINT_STAT = 0.22653204906053  # 4*( (1/3)ln(2/3) + (2/3)ln(4/3) )
@@ -71,6 +71,17 @@ class TestSolve:
             solve_maxent([1.0, math.nan])
         with pytest.raises(ValueError):
             solve_maxent([1.0, -1.0], tol=0.0)
+        with pytest.raises(ValueError):
+            solve_maxent(np.ones((2, 2, 2)))
+        # finite, but g**2 overflows or 1 / max|g| does: outside [2**-511, 2**511]
+        for g in ([1e200, -1e200, 3e199], [5e-324, -5e-324, 1e-323]):
+            with pytest.raises(ValueError):
+                solve_maxent(g)
+            with pytest.raises(ValueError):
+                solve_maxent([[1.0, -1.0, 0.5], g])
+        # the bounds themselves are inside
+        for bound in (2.0**-511, 2.0**511):
+            assert solve_maxent([bound, -0.5 * bound, 0.1 * bound]).converged
 
     def test_grid_oracle_equivalence(self):
         rng = np.random.default_rng(1234)
@@ -117,6 +128,74 @@ class TestSolve:
         # unbalanced -> strictly positive statistic
         g2 = np.array([0.31, -0.3, 0.7, -0.7])
         assert solve_maxent(g2).statistic > 1e-6
+
+
+def _constraint_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "one-sided":
+        return rng.choice((-1.0, 1.0)) * (np.abs(rng.standard_normal(n)) + 0.1)
+    if kind == "margin":
+        # the one negative value sits just inside the feasibility margin, so
+        # the statistic nears its supremum 2n ln n
+        g = rng.uniform(0.1, 1.0, n)
+        g[rng.integers(n)] = -1e-14 * g.max() * (1.0 + 1e-6)
+        return g
+    if kind in ("balanced", "near-balanced"):
+        # near-balanced rows start with a tilted mean below the bracket's step floor
+        half = rng.standard_normal((n + 1) // 2)
+        g = rng.permutation(np.concatenate((half, -half))[:n])
+        return g + (rng.uniform(-1e-6, 1e-6) if kind == "near-balanced" else 0.0)
+    return rng.standard_normal(n) + rng.uniform(-0.5, 0.5)
+
+
+_ROW_KINDS = ("zero", "one-sided", "margin", "balanced", "near-balanced", "shifted")
+
+
+class TestBlock:
+    """Each row of a block solve is the row's scalar solve, bit for bit."""
+
+    @staticmethod
+    def _bits(x) -> bytes:
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    @given(
+        n=st.sampled_from((2, 3, 4, 7, 25, 100, 10**5)),
+        kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=8),
+        tol=st.sampled_from((1e-10, 1e-6, 1e-300, 1e300, math.inf)),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_scalar_reference(self, n, kinds, tol, exponent, seed):
+        rng = np.random.default_rng(seed)
+        if n == 10**5:
+            kinds = kinds[:1]
+        g = np.array([_constraint_row(kind, n, rng) for kind in kinds]) * 10.0**exponent
+        block = solve_maxent(g, tol=tol)
+        references = [solve_maxent_reference(row, tol=tol) for row in g]
+        assert block.iterations == sum(r.iterations for r in references)
+        assert block.converged == all(r.converged for r in references)
+        for j, ref in enumerate(references):
+            for field in ("statistic", "lam", "log_partition", "residual", "weights"):
+                assert self._bits(getattr(block, field)[j]) == self._bits(getattr(ref, field)), field
+            # alone, as a vector and as a block of one, with its own step count
+            vector, single = solve_maxent(g[j], tol=tol), solve_maxent(g[j : j + 1], tol=tol)
+            assert (vector.iterations, vector.converged) == (ref.iterations, ref.converged)
+            assert (single.iterations, single.converged) == (ref.iterations, ref.converged)
+            for field in ("statistic", "lam", "log_partition", "residual"):
+                assert type(getattr(vector, field)) is float
+                assert self._bits(getattr(vector, field)) == self._bits(getattr(ref, field)), field
+                assert self._bits(getattr(single, field)) == self._bits([getattr(ref, field)]), field
+
+    def test_mixed_block(self):
+        # a capped row next to rows that finish at once
+        g = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 1.0, -1.0], [-1.0, 0.3, 2.0, 0.5]])
+        s = solve_maxent(g, tol=1e-300)
+        assert s.weights.shape == (4, 4) and s.statistic.shape == s.lam.shape == (4,)
+        assert list(np.isinf(s.statistic)) == [False, True, False, True]
+        assert not s.converged and s.iterations == 200
+        assert solve_maxent(g[[0, 2]]).converged
 
 
 class TestStatistic:
