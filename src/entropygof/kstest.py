@@ -53,13 +53,16 @@ def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
 
     D = max_j max(j/n - F(z_(j)), F(z_(j)) - (j-1)/n) over the sorted data.
     A vector gives a float; a (B, n) block gives the B statistics of its
-    rows, with the CDF evaluated once over the whole block.
+    rows, with the CDF evaluated once over the whole block.  NaN data
+    raises ValueError.
     """
     x = np.sort(np.asarray(data, dtype=np.float64), axis=-1)
     if x.ndim not in (1, 2):
         raise ValueError("ks_statistic takes a vector or a (B, n) block")
     if x.size == 0:
         raise ValueError("ks_statistic requires nonempty data")
+    if np.isnan(x[..., -1]).any():  # np.sort puts NaN last
+        raise ValueError("ks_statistic requires data without NaN")
     n = x.shape[-1]
     try:
         f = np.asarray(null_cdf(x), dtype=np.float64)

@@ -25,7 +25,7 @@ from .kstest import KsCriticalTable, ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
 from .results import TestResult, chi2_1_decision
-from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, uniform_block, uniform_shape
+from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_shape
 
 __all__ = [
     "DegenerateTrialError",
@@ -197,7 +197,8 @@ def simulate_model(
     and then the uniforms of the errors.  Given a sequence of B seeds it
     returns y of shape (B, n) and X of shape (B, n, k); each trial draws
     from its own stream, so row b is bit-identical to the draw of seeds[b]
-    alone.
+    alone.  Raises ValueError, naming the error process, when a value of y
+    is not finite (an explosive AR process overflows).
     """
     if n <= model.k:
         raise ValueError("need more observations than coefficients")
@@ -209,6 +210,8 @@ def simulate_model(
     X = np.ones((len(seeds), n, model.k))
     X[:, :, 1:] = u[:, :d].reshape(len(seeds), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
+    if not np.isfinite(y).all():
+        raise ValueError(f"error process {spec_label(errors)} gave non-finite values at n = {n}")
     return (y[0], X[0]) if single else (y, X)
 
 

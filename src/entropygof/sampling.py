@@ -237,30 +237,55 @@ DistributionSpec = Union[
 ]
 
 _AR_BURN_IN = 100
+# blocks of at least this many rows run the AR recursion one time step at a
+# time across all rows; narrower ones run it row by row (README, Layout)
+_AR_STEP_ROWS = 32
 
 
 def _ar_recurse(rho: tuple[float, ...], u: np.ndarray) -> np.ndarray:
-    """Run the AR recursion along the last axis of u from a zero start;
-    plain floats keep the loop fast."""
+    """Run the AR recursion along the last axis of u from a zero start.
+
+    Both paths add the lags to the innovation in the order x + rho[0]*e_{t-1}
+    + rho[1]*e_{t-2} + ..., one IEEE operation at a time, so they agree bit
+    for bit; a matmul or sum() would reorder or compensate the additions.
+    """
+    rows = u.reshape(-1, u.shape[-1])
+    p = len(rho)
+    if len(rows) >= _AR_STEP_ROWS:
+        # numpy's fixed cost per step is shared by the rows of the block
+        innov = np.ascontiguousarray(rows.T)
+        y = np.zeros((len(innov) + p, len(rows)))
+        coef = np.array(rho[::-1])[:, None]
+        prod = np.empty((p, len(rows)))
+        # Python floats overflow to inf and nan silently; so does this loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, x in enumerate(innov):
+                np.multiply(coef, y[t : t + p], out=prod)
+                step = y[t + p]
+                np.add(x, prod[-1], out=step)
+                for k in range(p - 2, -1, -1):
+                    step += prod[k]
+        # C order, as the per-row path returns: later reductions sum in memory order
+        return np.ascontiguousarray(y[p:].T).reshape(u.shape)
     paths: list[list[float]] = []
-    for innov in u.reshape(-1, u.shape[-1]).tolist():
-        out: list[float] = []
-        if len(rho) == 1:
-            (r0,) = rho
+    if p == 1:
+        (r0,) = rho
+        for innov in rows.tolist():
+            out = []
             prev = 0.0
             for x in innov:
                 prev = r0 * prev + x
                 out.append(prev)
-        else:
-            state = [0.0] * len(rho)
+            paths.append(out)
+    else:
+        lags = tuple((r, -1 - i) for i, r in enumerate(rho))
+        for innov in rows.tolist():
+            path = [0.0] * p
             for x in innov:
-                val = x
-                for r, s in zip(rho, state):
-                    val += r * s
-                state.pop()
-                state.insert(0, val)
-                out.append(val)
-        paths.append(out)
+                for r, k in lags:
+                    x += r * path[k]
+                path.append(x)
+            paths.append(path[p:])
     return np.array(paths).reshape(u.shape)
 
 

@@ -7,7 +7,8 @@ instead of the dual identity the solver uses; the erf oracle is a plain
 Maclaurin series; the least-squares reference fits one matrix with
 unstacked numpy calls; the model reference draws one trial from its own
 Generator, column by column; the dual-solve reference solves one vector
-with scalar Python control flow.
+with scalar Python control flow; the AR reference runs one row at a time
+with a shifting list of lags.
 """
 
 from __future__ import annotations
@@ -139,6 +140,32 @@ def simulate_model_reference(model, n: int, seed, error_process=None) -> tuple[n
     X = np.column_stack([np.ones(n)] + [uniform_open01(gen, n) for _ in range(model.k - 1)])
     y = X @ np.asarray(model.beta) + sample_using(error_process or model.error_process, n, gen)
     return y, X
+
+
+def ar_recurse_reference(rho: tuple[float, ...], u: np.ndarray) -> np.ndarray:
+    """The AR recursion along the last axis of u from a zero start, one row
+    at a time, by the loop that both paths of sampling._ar_recurse must
+    reproduce bit for bit."""
+    paths: list[list[float]] = []
+    for innov in u.reshape(-1, u.shape[-1]).tolist():
+        out: list[float] = []
+        if len(rho) == 1:
+            (r0,) = rho
+            prev = 0.0
+            for x in innov:
+                prev = r0 * prev + x
+                out.append(prev)
+        else:
+            state = [0.0] * len(rho)
+            for x in innov:
+                val = x
+                for r, s in zip(rho, state):
+                    val += r * s
+                state.pop()
+                state.insert(0, val)
+                out.append(val)
+        paths.append(out)
+    return np.array(paths).reshape(u.shape)
 
 
 def normal_cdf_series(x: float) -> float:

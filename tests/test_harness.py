@@ -225,6 +225,21 @@ class TestRunPowerStudy:
         assert hz.run_power_study(cfg).rows == blocked
 
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
+    @pytest.mark.parametrize("rho, n", [((2.0,), 1000), ((1000.0,), 50)])
+    def test_overflowing_error_process_named(self, test, rho, n):
+        # n = 1000 runs the AR recursion row by row, n = 50 time-stepped
+        cfg = small_config(
+            test=test,
+            alternatives=(ARProcess(rho, Normal(0, 2)),),
+            sample_sizes=(n,),
+            trials=100,
+            null_spec=LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0),
+            lilliefors_trials=1000,
+        )
+        with pytest.raises(ValueError, match=f"error process ar:{rho[0]:g} gave non-finite values"):
+            hz.run_power_study(cfg)
+
+    @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
     def test_degenerate_regression_trial_counted_once(self, monkeypatch, test):
         simulate = hz.simulate_model
 

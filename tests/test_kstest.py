@@ -93,6 +93,11 @@ class TestBlockStatistic:
             ks.ks_statistic(np.zeros((2, 2, 2)), normal_cdf)
         with pytest.raises(ValueError):
             ks.ks_statistic(np.zeros((3, 0)), normal_cdf)
+        # NaN data, as a vector and as one row of a block
+        with pytest.raises(ValueError, match="NaN"):
+            ks.run_ks_test([math.nan, 0.1, 0.5, -0.3], normal_cdf, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            ks.ks_statistic(np.array([[0.1, 0.5, -0.3], [0.2, math.nan, 0.4]]), normal_cdf)
 
 
 class TestCriticalValues:

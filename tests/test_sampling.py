@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from helpers import ar_recurse_reference
+from hypothesis import example, given, settings, strategies as st
 
 from entropygof import numerics as nm
 from entropygof import sampling as sp
@@ -204,6 +205,33 @@ class TestBlocks:
         block = sp.sample(spec, n, seeds)
         for seed, row in zip(seeds, block):
             assert row.tobytes() == sp.sample_using(spec, n, seed.generator()).tobytes()
+
+    @pytest.mark.parametrize("spec", [s for s in _MENU if isinstance(s, sp.ARProcess)])
+    @pytest.mark.parametrize("n", [1, 50, 100])
+    def test_wide_ar_blocks_match_generator_draws(self, spec, n):
+        seeds = [sp.SeedSpec(2024, t) for t in range(40)]
+        assert len(seeds) >= sp._AR_STEP_ROWS  # the time-stepped path
+        block = sp.sample(spec, n, seeds)
+        for seed, row in zip(seeds, block):
+            assert row.tobytes() == sp.sample_using(spec, n, seed.generator()).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rho=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=4).map(tuple),
+        rows=st.integers(1, 100),
+        steps=st.integers(1, 400),
+        seed=st.integers(0, 2**64 - 1),
+        cauchy=st.booleans(),
+    )
+    # rows that overflow to inf, and to nan for two lags, on both paths
+    @example(rho=(1000.0,), rows=4, steps=150, seed=0, cauchy=False)
+    @example(rho=(1000.0,), rows=81, steps=150, seed=0, cauchy=False)
+    @example(rho=(1000.0, -1000.0), rows=4, steps=150, seed=0, cauchy=True)
+    @example(rho=(1000.0, -1000.0), rows=81, steps=150, seed=0, cauchy=True)
+    def test_ar_recurse_matches_reference(self, rho, rows, steps, seed, cauchy):
+        innovation = sp.Cauchy() if cauchy else sp.Normal()
+        u = sp.sample(innovation, rows * steps, sp.SeedSpec(seed)).reshape(rows, steps)
+        assert sp._ar_recurse(rho, u).tobytes() == ar_recurse_reference(rho, u).tobytes()
 
     def test_block_must_fit_the_spec(self):
         u = sp.uniform_block([sp.SeedSpec(3, 0), sp.SeedSpec(3, 1)], 10)
