@@ -16,7 +16,6 @@ from .harness import (
     emit_power_csv,
     emit_power_svg,
     load_config,
-    parse_distribution,
     read_power_csv,
     run_power_study,
 )
@@ -79,6 +78,7 @@ from .sampling import (
     Uniform,
     cdf,
     centered_lognormal_params,
+    parse_distribution,
     sample,
     sample_using,
     spec_label,

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .harness import (
     DEFAULT_SEED,
+    PowerStudyConfig,
     emit_power_csv,
     emit_power_svg,
     load_config,
@@ -27,7 +28,7 @@ from .harness import (
 )
 from .kstest import CalibrationCache, ks_critical_simple, lilliefors_critical, run_ks_test
 from .moments import MomentConstraint, null_constraint, run_et_test, sinc_kernel, standardize
-from .regression import LinearModelSpec
+from .regression import DEFAULT_MODEL, LinearModelSpec
 from .results import TestResult
 from .sampling import Cauchy, Normal, cdf
 from .tables import TABLE_NAMES, reference_value, table_config
@@ -212,16 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="calibrate a KS critical value for the regression test")
     p_cal.add_argument("--n", type=int, required=True)
     p_cal.add_argument("--alpha", type=float, default=0.05)
-    p_cal.add_argument("--trials", type=int, default=20000)
+    p_cal.add_argument("--trials", type=int, default=PowerStudyConfig.lilliefors_trials)
     p_cal.add_argument("--seed", type=int, default=None)
-    p_cal.add_argument("--beta", type=float, nargs="+", default=[1.0, 5.0])
-    p_cal.add_argument("--sigma2", type=float, default=4.0)
+    p_cal.add_argument("--beta", type=float, nargs="+", default=list(DEFAULT_MODEL.beta))
+    p_cal.add_argument("--sigma2", type=float, default=DEFAULT_MODEL.sigma2)
     p_cal.add_argument("--cache", default=None, help="calibration cache file to read/update")
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_tab = sub.add_parser("tables", help="reproduce a bundled reference table")
     p_tab.add_argument("which", help="one of: " + ", ".join(TABLE_NAMES))
-    p_tab.add_argument("--trials", type=int, default=10000)
+    p_tab.add_argument("--trials", type=int, default=PowerStudyConfig.trials)
     p_tab.add_argument("--seed", type=int, default=None)
     p_tab.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
     p_tab.add_argument("--workers", type=int, default=1)

@@ -23,6 +23,7 @@ from .maxent import solve_maxent
 from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
 from .regression import (
+    DEFAULT_MODEL,
     DegenerateTrialError,
     LinearModelSpec,
     ols_fit,
@@ -31,17 +32,16 @@ from .regression import (
     standardized_residuals,
 )
 from .sampling import (
-    ARProcess,
     Cauchy,
     CenteredLogNormal,
     DistributionSpec,
     Exponential,
-    MAProcess,
     Normal,
     SeedSpec,
     StudentT,
     Uniform,
     cdf,
+    parse_distribution,
     sample,
     seed_blocks,
     spec_label,
@@ -56,7 +56,6 @@ __all__ = [
     "emit_power_csv",
     "read_power_csv",
     "emit_power_svg",
-    "parse_distribution",
     "load_config",
     "DEFAULT_SEED",
 ]
@@ -186,6 +185,11 @@ class PowerStudyConfig:
             raise ValueError("alternatives are distributions or error processes, not model specs")
         if self.labels is not None and len(self.labels) != len(self.alternatives):
             raise ValueError("labels must match alternatives one-to-one")
+        names = [self.row_label(i) for i in range(len(self.alternatives))]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            # an AR or MA label omits the innovation, so distinct alternatives can collide
+            raise ValueError(f"alternatives share the row labels {shared}; give distinct labels")
 
     def row_label(self, alt_index: int) -> str:
         if self.labels is not None:
@@ -223,12 +227,6 @@ class PowerTable:
             if row.alternative not in seen:
                 seen.append(row.alternative)
         return seen
-
-    def lookup(self, alternative: str, n: int) -> PowerRow:
-        for row in self.rows:
-            if row.alternative == alternative and row.n == n:
-                return row
-        raise LookupError(f"no row ({alternative!r}, n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -472,54 +470,6 @@ def emit_power_svg(table: PowerTable, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def parse_distribution(text: str, innovation: DistributionSpec | None = None) -> DistributionSpec:
-    """Parse the colon grammar: tag:param:param (e.g. normal:0:1, ar:0.5:0.25).
-
-    AR/MA entries take their innovation from the surrounding context
-    (regression configs use Normal(0, sqrt(sigma2))).
-    """
-    parts = [p.strip() for p in text.strip().split(":")]
-    tag, args = parts[0].lower(), parts[1:]
-    try:
-        vals = [float(a) for a in args]
-    except ValueError as exc:
-        raise ValueError(f"bad distribution parameters in {text!r}") from exc
-    if tag in ("normal", "n"):
-        mu = vals[0] if vals else 0.0
-        sigma = vals[1] if len(vals) > 1 else 1.0
-        return Normal(mu, sigma)
-    if tag == "uniform":
-        if len(vals) != 2:
-            raise ValueError("uniform needs low:high")
-        return Uniform(vals[0], vals[1])
-    if tag in ("exponential", "expo"):
-        rate = vals[0] if vals else 1.0
-        shift = vals[1] if len(vals) > 1 else 0.0
-        return Exponential(rate, shift)
-    if tag == "cauchy":
-        loc = vals[0] if vals else 0.0
-        scale = vals[1] if len(vals) > 1 else 1.0
-        return Cauchy(loc, scale)
-    if tag == "t":
-        if not vals:
-            raise ValueError("t needs dof")
-        scale = vals[1] if len(vals) > 1 else 1.0
-        return StudentT(int(vals[0]), scale)
-    if tag == "clognormal":
-        if len(vals) != 1:
-            raise ValueError("clognormal needs sigma2_log")
-        return CenteredLogNormal(vals[0])
-    if tag == "ar":
-        if not vals:
-            raise ValueError("ar needs coefficients")
-        return ARProcess(tuple(vals), innovation or Normal(0.0, 1.0))
-    if tag == "ma":
-        if not vals:
-            raise ValueError("ma needs coefficients")
-        return MAProcess(tuple(vals), innovation or Normal(0.0, 1.0))
-    raise ValueError(f"unknown distribution tag {tag!r} in {text!r}")
-
-
 def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
@@ -539,42 +489,40 @@ def load_config(path: str | Path) -> PowerStudyConfig:
     return config_from_pairs(pairs)
 
 
+# optional keys that set the PowerStudyConfig field of the same name
+_FIELD_KEYS = {"alpha": float, "trials": int, "master_seed": int, "lilliefors_trials": int}
+_STUDY_KEYS = {"test", "alternatives", "sample_sizes", "labels", *_FIELD_KEYS}
+
+
 def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
+    """The study a config file's key-value pairs describe.  Keys a file
+    leaves out take the PowerStudyConfig (and regression DEFAULT_MODEL)
+    defaults; a key the study does not read is an error."""
     missing = [k for k in ("test", "alternatives", "sample_sizes") if k not in pairs]
     if missing:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
     test = pairs["test"].strip().lower()
     if test not in TEST_KINDS:
         raise ValueError(f"config field 'test' must be one of {tuple(TEST_KINDS)}")
-    alpha = float(pairs.get("alpha", "0.05"))
-    trials = int(pairs.get("trials", "10000"))
-    master_seed = int(pairs.get("master_seed", str(DEFAULT_SEED)))
-    sample_sizes = tuple(int(v) for v in _split_list(pairs["sample_sizes"]))
-    labels = tuple(_split_list(pairs["labels"])) if "labels" in pairs else None
+    regression = TEST_KINDS[test].regression
+    unread = sorted(set(pairs) - _STUDY_KEYS - ({"beta", "sigma2"} if regression else {"null"}))
+    if unread:
+        raise ValueError(f"config keys not read by a {test} study: {', '.join(unread)}")
+    kw = {key: convert(pairs[key]) for key, convert in _FIELD_KEYS.items() if key in pairs}
+    if "labels" in pairs:
+        kw["labels"] = tuple(_split_list(pairs["labels"]))
 
-    if TEST_KINDS[test].regression:
-        beta = tuple(float(v) for v in _split_list(pairs.get("beta", "1, 5")))
-        sigma2 = float(pairs.get("sigma2", "4"))
-        innovation = Normal(0.0, math.sqrt(sigma2))
-        null_spec: Union[DistributionSpec, LinearModelSpec] = LinearModelSpec(
-            beta=beta, sigma2=sigma2, error_process=innovation
-        )
-        alternatives = tuple(
-            parse_distribution(item, innovation=innovation)
-            for item in _split_list(pairs["alternatives"])
-        )
-    else:
-        null_spec = parse_distribution(pairs.get("null", "normal:0:1"))
-        alternatives = tuple(parse_distribution(item) for item in _split_list(pairs["alternatives"]))
-
+    innovation = None
+    if regression:
+        beta = tuple(float(v) for v in _split_list(pairs["beta"])) if "beta" in pairs else DEFAULT_MODEL.beta
+        sigma2 = float(pairs["sigma2"]) if "sigma2" in pairs else DEFAULT_MODEL.sigma2
+        kw["null_spec"] = LinearModelSpec(beta, sigma2)
+        innovation = kw["null_spec"].error_process
+    elif "null" in pairs:
+        kw["null_spec"] = parse_distribution(pairs["null"])
     return PowerStudyConfig(
         test=test,
-        alternatives=alternatives,
-        sample_sizes=sample_sizes,
-        alpha=alpha,
-        trials=trials,
-        master_seed=master_seed,
-        null_spec=null_spec,
-        labels=labels,
-        lilliefors_trials=int(pairs.get("lilliefors_trials", "20000")),
+        alternatives=tuple(parse_distribution(a, innovation) for a in _split_list(pairs["alternatives"])),
+        sample_sizes=tuple(int(v) for v in _split_list(pairs["sample_sizes"])),
+        **kw,
     )

@@ -78,18 +78,22 @@ def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
     return np.maximum(np.maximum(d_plus, d_minus), 0.0)
 
 
-def kolmogorov_sf(x: float, terms: int = 100) -> float:
+# terms of the alternating series that kolmogorov_sf sums
+_KOLMOGOROV_TERMS = 100
+
+
+def kolmogorov_sf(x: float) -> float:
     """Upper tail of the Kolmogorov limit distribution, 2 sum (-1)^{k-1} e^{-2k^2x^2}."""
     if x <= 0.0:
         return 1.0
-    k = np.arange(1, terms + 1, dtype=np.float64)
+    k = np.arange(1, _KOLMOGOROV_TERMS + 1, dtype=np.float64)
     with np.errstate(under="ignore"):
         s = 2.0 * float(np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k * k * x * x)))
     return min(max(s, 0.0), 1.0)
 
 
 @functools.lru_cache(maxsize=64)
-def kolmogorov_critical(alpha: float, terms: int = 100) -> float:
+def kolmogorov_critical(alpha: float) -> float:
     """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series.
 
     Cached: a power study asks for the same alpha once per row.
@@ -99,7 +103,7 @@ def kolmogorov_critical(alpha: float, terms: int = 100) -> float:
     lo, hi = 1e-3, 5.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid, terms) > alpha:
+        if kolmogorov_sf(mid) > alpha:
             lo = mid
         else:
             hi = mid

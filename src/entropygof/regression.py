@@ -16,7 +16,7 @@ convention; sums of (1 - h_j) equal the column count k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .results import TestResult, chi2_1_decision
 from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_shape
 
 __all__ = [
+    "DEFAULT_MODEL",
     "DegenerateTrialError",
     "LinearModelSpec",
     "OlsFit",
@@ -55,12 +56,13 @@ class LinearModelSpec:
     """Coefficients, error variance, and error process of a simulated model.
 
     The design rule is fixed: an intercept column plus len(beta) - 1
-    columns of iid Uniform(0,1) draws, regenerated per trial.
+    columns of iid Uniform(0,1) draws, regenerated per trial.  The error
+    process defaults to the null errors, N(0, sqrt(sigma2)).
     """
 
     beta: tuple[float, ...]
     sigma2: float
-    error_process: DistributionSpec = field(default_factory=lambda: Normal(0.0, 2.0))
+    error_process: DistributionSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
@@ -68,6 +70,8 @@ class LinearModelSpec:
             raise ValueError("beta must have at least one coefficient")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
+        if self.error_process is None:
+            object.__setattr__(self, "error_process", self.null_errors())
 
     @property
     def k(self) -> int:
@@ -75,6 +79,12 @@ class LinearModelSpec:
 
     def null_errors(self) -> Normal:
         return Normal(0.0, math.sqrt(self.sigma2))
+
+
+# The regression example's model, y = 1 + 5 x + e with iid normal errors of
+# variance 4: the default of regression config files, of calibrate and of
+# presets a5 and a6.
+DEFAULT_MODEL = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,9 @@ def simulate_model(
     X[:, :, 1:] = u[:, :d].reshape(len(seeds), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
     if not np.isfinite(y).all():
-        raise ValueError(f"error process {spec_label(errors)} gave non-finite values at n = {n}")
+        message = f"error process {spec_label(errors)} gave non-finite values at n = {n}"
+        innovation = getattr(errors, "innovation", None)
+        raise ValueError(message + (f" (innovation {spec_label(innovation)})" if innovation else ""))
     return (y[0], X[0]) if single else (y, X)
 
 

@@ -13,7 +13,7 @@ function so that output is bit-identical across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "cdf",
     "centered_lognormal_params",
     "spec_label",
+    "parse_distribution",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -161,10 +162,12 @@ class StudentT:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.dof) != self.dof or self.dof < 2:
+        if self.dof % 1 != 0 or self.dof < 2:
             raise ValueError("StudentT dof must be an integer >= 2")
         if not self.scale > 0:
             raise ValueError("StudentT scale must be positive")
+        # the dof sets an array shape and the label's digits
+        object.__setattr__(self, "dof", int(self.dof))
 
 
 @dataclass(frozen=True)
@@ -443,25 +446,57 @@ def centered_lognormal_params(target_variance: float) -> tuple[float, float]:
     return sigma2_log, math.sqrt(es)
 
 
-def spec_label(spec: DistributionSpec) -> str:
-    """Short text form of a spec in the colon grammar the config parser reads.
+# The colon grammar: tag -> spec class.  The parameters after the tag are
+# the class's dataclass fields in order, with the dataclass defaults, except
+# that ar and ma take one or more coefficients and no innovation.
+_GRAMMAR = {
+    "normal": Normal,
+    "uniform": Uniform,
+    "exponential": Exponential,
+    "cauchy": Cauchy,
+    "t": StudentT,
+    "clognormal": CenteredLogNormal,
+    "ar": ARProcess,
+    "ma": MAProcess,
+}
+_ALIASES = {"n": "normal", "expo": "exponential"}
+_TAGS = {cls: tag for tag, cls in _GRAMMAR.items()}
+_SERIAL = (ARProcess, MAProcess)
 
+
+def spec_label(spec: DistributionSpec) -> str:
+    """Short text form of a spec in the colon grammar parse_distribution reads.
+
+    An AR or MA label holds the coefficients, not the innovation.
     Comma-free by construction, so labels are safe inside CSV fields.
     """
-    if isinstance(spec, Normal):
-        return f"normal:{spec.mu:g}:{spec.sigma:g}"
-    if isinstance(spec, Uniform):
-        return f"uniform:{spec.low:g}:{spec.high:g}"
-    if isinstance(spec, Exponential):
-        return f"exponential:{spec.rate:g}:{spec.shift:g}"
-    if isinstance(spec, Cauchy):
-        return f"cauchy:{spec.loc:g}:{spec.scale:g}"
-    if isinstance(spec, StudentT):
-        return f"t:{spec.dof:d}:{spec.scale:g}"
-    if isinstance(spec, CenteredLogNormal):
-        return f"clognormal:{spec.sigma2_log:g}"
-    if isinstance(spec, ARProcess):
-        return "ar:" + ":".join(f"{r:g}" for r in spec.rho)
-    if isinstance(spec, MAProcess):
-        return "ma:" + ":".join(f"{t:g}" for t in spec.theta)
-    return repr(spec)
+    if type(spec) not in _TAGS:
+        return repr(spec)
+    values = astuple(spec)[0] if isinstance(spec, _SERIAL) else astuple(spec)
+    return ":".join([_TAGS[type(spec)], *(str(v) if isinstance(v, int) else f"{v:g}" for v in values)])
+
+
+def parse_distribution(text: str, innovation: DistributionSpec | None = None) -> DistributionSpec:
+    """Parse the colon grammar: tag:param:param (e.g. normal:0:1, ar:0.5:0.25).
+
+    AR/MA entries take their innovation from the surrounding context
+    (regression configs use Normal(0, sqrt(sigma2))), else the class default.
+    """
+    tag, *args = (p.strip() for p in text.strip().split(":"))
+    tag = _ALIASES.get(tag.lower(), tag.lower())
+    if tag not in _GRAMMAR:
+        raise ValueError(f"unknown distribution tag {tag!r} in {text!r}")
+    cls = _GRAMMAR[tag]
+    serial = cls in _SERIAL
+    params = fields(cls)[:1] if serial else fields(cls)
+    usage = tag + "".join(f":{f.name}" if f.default is MISSING else f"[:{f.name}]" for f in params)
+    usage += "[:...]" if serial else ""
+    try:
+        vals = [float(a) for a in args]
+    except ValueError as exc:
+        raise ValueError(f"bad parameters in {text!r}; expected {usage}") from exc
+    if serial and vals:
+        return cls(tuple(vals)) if innovation is None else cls(tuple(vals), innovation)
+    if not serial and sum(f.default is MISSING for f in params) <= len(vals) <= len(params):
+        return cls(*vals)
+    raise ValueError(f"wrong number of parameters in {text!r}; expected {usage}")

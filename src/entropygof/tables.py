@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .harness import DEFAULT_SEED, PowerStudyConfig
-from .regression import LinearModelSpec
+from .regression import DEFAULT_MODEL
 from .sampling import (
     ARProcess,
     Cauchy,
@@ -56,10 +56,9 @@ _NON_NORMAL = (
     ("T(3)", StudentT(3, 1.0)),
 )
 
-_REG_MODEL = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0, error_process=Normal(0.0, 2.0))
-_REG_INNOV = Normal(0.0, 2.0)
+_REG_INNOV = DEFAULT_MODEL.error_process
 _REG_ALTS = (
-    ("Size", Normal(0.0, 2.0)),
+    ("Size", _REG_INNOV),
     ("CLogN", CenteredLogNormal(0.94062)),
     ("Cauchy(0;2/pi)", Cauchy(0.0, _TWO_OVER_PI)),
     ("MA(2)", MAProcess((0.5, 0.25), _REG_INNOV)),
@@ -130,9 +129,9 @@ _REFERENCE: dict[str, dict[str, dict[int, float]]] = {
 
 def table_config(
     name: str,
-    trials: int = 10000,
+    trials: int = PowerStudyConfig.trials,
     master_seed: int = DEFAULT_SEED,
-    lilliefors_trials: int = 20000,
+    lilliefors_trials: int = PowerStudyConfig.lilliefors_trials,
 ) -> PowerStudyConfig:
     """PowerStudyConfig reproducing the named reference table."""
     name = name.lower()
@@ -161,7 +160,7 @@ def table_config(
     return PowerStudyConfig(
         test="et-regression" if name == "a5" else "ks-regression",
         alternatives=alts, sample_sizes=_NS_REG, trials=trials,
-        master_seed=master_seed, null_spec=_REG_MODEL, labels=labels,
+        master_seed=master_seed, null_spec=DEFAULT_MODEL, labels=labels,
         lilliefors_trials=lilliefors_trials,
     )
 

@@ -1,12 +1,15 @@
+import importlib
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import entropygof.harness as hz
 import entropygof.sampling as sampling
-from entropygof.regression import DegenerateTrialError, LinearModelSpec
+from entropygof.regression import DEFAULT_MODEL, DegenerateTrialError, LinearModelSpec
 from entropygof.sampling import ARProcess, Cauchy, Normal, SeedSpec, StudentT, Uniform
 
 
@@ -79,6 +82,15 @@ class TestConfigValidation:
     def test_et_simple_min_n(self):
         with pytest.raises(ValueError, match="sample sizes"):
             small_config(sample_sizes=(1, 25))
+
+    def test_shared_row_labels(self):
+        # an AR label omits the innovation, so these two rows would share one
+        alternatives = (ARProcess((0.5,), Normal(0, 2)), ARProcess((0.5,), StudentT(3)))
+        with pytest.raises(ValueError, match=r"row labels \['ar:0.5'\]; give distinct labels"):
+            small_config(alternatives=alternatives)
+        with pytest.raises(ValueError, match="row labels"):
+            small_config(labels=("same", "same"))
+        assert small_config(alternatives=alternatives, labels=("normal", "t3")).row_label(1) == "t3"
 
 
 class TestRunPowerStudy:
@@ -466,6 +478,41 @@ class TestConfigFile:
         path.write_text("test et-simple\n")
         with pytest.raises(ValueError, match="key = value"):
             hz.load_config(path)
+
+    def test_regression_defaults(self):
+        pairs = {"test": "ks-regression", "alternatives": "ar:0.5", "sample_sizes": "50"}
+        cfg = hz.config_from_pairs(pairs)
+        assert cfg.null_spec == DEFAULT_MODEL
+        assert cfg.alternatives == (ARProcess((0.5,), Normal(0, 2)),)
+        assert cfg.lilliefors_trials == hz.PowerStudyConfig.lilliefors_trials
+
+    @pytest.mark.parametrize(
+        "test,extra,unread",
+        [
+            ("et-simple", {"trails": "100"}, "trails"),
+            ("ks-simple", {"beta": "1, 5", "sigma2": "4"}, "beta, sigma2"),
+            ("et-regression", {"null": "normal:0:1"}, "null"),
+            ("ks-regression", {"null": "normal:0:1", "trails": "100"}, "null, trails"),
+        ],
+    )
+    def test_unread_keys(self, test, extra, unread):
+        pairs = {"test": test, "alternatives": "normal:0:2", "sample_sizes": "50", **extra}
+        with pytest.raises(ValueError, match=f"config keys not read by a {test} study: {unread}$"):
+            hz.config_from_pairs(pairs)
+
+
+def test_benchmark_tracer_bindings(monkeypatch):
+    """perfbench/study.py wraps each layer function where harness, regression
+    and sampling bind it, by name; every such name must still resolve."""
+
+    class PassThrough:
+        counts = Counter()
+
+        def wrap(self, name, fn, **kw):
+            return fn
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    importlib.import_module("study").install_tracer(PassThrough())
 
 
 def test_bundled_tables_cover_references():

@@ -14,6 +14,7 @@ from entropygof.sampling import (
     MAProcess,
     Normal,
     SeedSpec,
+    StudentT,
     sample,
     uniform_open01,
 )
@@ -238,6 +239,15 @@ class TestModelSpec:
 
     def test_null_errors(self):
         assert MODEL.null_errors() == Normal(0.0, 2.0)
+
+    def test_default_errors_follow_sigma2(self):
+        model = rg.LinearModelSpec(beta=(1.0, 5.0), sigma2=1.0)
+        y, X = rg.simulate_model(model, 20000, SeedSpec(38, 3))
+        assert np.std(y - X @ np.asarray(model.beta)) == pytest.approx(1.0, abs=0.03)
+
+    def test_overflow_names_innovation(self):
+        with pytest.raises(ValueError, match=r"ar:2 gave non-finite values at n = 1000 \(innovation t:3:1\)"):
+            rg.simulate_model(MODEL, 1000, SeedSpec(38, 4), ARProcess((2.0,), StudentT(3)))
 
     def test_simulate_deterministic(self):
         y1, X1 = rg.simulate_model(MODEL, 50, SeedSpec(38, 2))

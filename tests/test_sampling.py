@@ -351,3 +351,84 @@ def test_spec_labels_roundtrip():
         assert "," not in label
         parsed = parse_distribution(label)
         assert type(parsed) is type(spec)
+
+
+def test_student_t_float_dof():
+    spec = sp.StudentT(3.0)
+    assert spec.dof == 3 and type(spec.dof) is int
+    seed = sp.SeedSpec(12, 0)
+    assert np.array_equal(sp.sample(spec, 50, seed), sp.sample(sp.StudentT(3), 50, seed))
+    assert sp.spec_label(spec) == "t:3:1"
+
+
+class TestColonGrammar:
+    # labels as the grammar printed them before it moved into one table
+    @pytest.mark.parametrize(
+        "spec,label",
+        [
+            (sp.Normal(0.2, 1.0), "normal:0.2:1"),
+            (sp.Normal(0, 1), "normal:0:1"),
+            (sp.Normal(1e-7, 1234567.0), "normal:1e-07:1.23457e+06"),
+            (sp.Uniform(-SQRT3, SQRT3), "uniform:-1.73205:1.73205"),
+            (sp.Uniform(0.5 - SQRT3, 0.5 + SQRT3), "uniform:-1.23205:2.23205"),
+            (sp.Exponential(1.0, -1.0), "exponential:1:-1"),
+            (sp.Exponential(2.5), "exponential:2.5:0"),
+            (sp.Cauchy(0.0, 2.0 / math.pi), "cauchy:0:0.63662"),
+            (sp.StudentT(3), "t:3:1"),
+            (sp.StudentT(3.0), "t:3:1"),
+            (sp.StudentT(2, 0.57735), "t:2:0.57735"),
+            (sp.StudentT(1234567), "t:1234567:1"),
+            (sp.StudentT(1234567.0), "t:1234567:1"),
+            (sp.CenteredLogNormal(0.94062), "clognormal:0.94062"),
+            (sp.ARProcess((0.5,), sp.Normal(0, 2)), "ar:0.5"),
+            (sp.ARProcess((1.0,)), "ar:1"),
+            (sp.ARProcess((0.5, 0.25, 0.125), sp.StudentT(3)), "ar:0.5:0.25:0.125"),
+            (sp.MAProcess((0.5, 0.25), sp.Normal(0, 2)), "ma:0.5:0.25"),
+        ],
+    )
+    def test_label(self, spec, label):
+        assert sp.spec_label(spec) == label
+
+    @pytest.mark.parametrize(
+        "text,spec",
+        [
+            ("normal", sp.Normal(0, 1)),
+            ("N:0.5", sp.Normal(0.5, 1)),
+            (" Normal : 0 : 1 ", sp.Normal(0, 1)),
+            ("normal:1e-3:2E2", sp.Normal(0.001, 200)),
+            ("uniform : 0 : 1", sp.Uniform(0, 1)),
+            ("expo", sp.Exponential(1, 0)),
+            ("EXPONENTIAL:2", sp.Exponential(2, 0)),
+            ("cauchy", sp.Cauchy(0, 1)),
+            ("cauchy:1", sp.Cauchy(1, 1)),
+            ("T:3:0.57735", sp.StudentT(3, 0.57735)),
+            ("t:3.0", sp.StudentT(3)),
+            ("clognormal:0.94062", sp.CenteredLogNormal(0.94062)),
+            ("AR:1", sp.ARProcess((1.0,))),
+            ("ma:0.5:0.25", sp.MAProcess((0.5, 0.25))),
+        ],
+    )
+    def test_parse(self, text, spec):
+        assert sp.parse_distribution(text) == spec
+
+    def test_process_innovation(self):
+        innov = sp.StudentT(3)
+        assert sp.parse_distribution("ma:0.4", innov) == sp.MAProcess((0.4,), innov)
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("normal:0:1:5", r"expected normal\[:mu\]\[:sigma\]"),
+            ("cauchy:0:1:2", r"expected cauchy\[:loc\]\[:scale\]"),
+            ("expo:1:0:0", r"expected exponential\[:rate\]\[:shift\]"),
+            ("uniform:1:2:3", "expected uniform:low:high"),
+            ("clognormal:1:2", "expected clognormal:sigma2_log"),
+            ("t:3:1:1", r"expected t:dof\[:scale\]"),
+            ("ar", "expected ar:rho"),
+            ("t:2.7", "integer"),
+            ("t:1e400", "integer"),
+        ],
+    )
+    def test_rejects(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            sp.parse_distribution(text)
