@@ -19,11 +19,13 @@ from functools import partial
 from pathlib import Path
 
 from .harness import (
+    CSV_HEADER,
     DEFAULT_SEED,
     PowerStudyConfig,
     emit_power_csv,
     emit_power_svg,
     load_config,
+    power_csv_line,
     run_power_study,
 )
 from .kstest import CalibrationCache, ks_critical_simple, lilliefors_critical, run_ks_test
@@ -164,13 +166,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         config, workers=args.workers, cache=cache,
         progress=_progress_printer if not args.quiet else None,
     )
-    lines = ["test,alternative,n,alpha,trials,rejections,power,se,reference"]
+    lines = [f"{CSV_HEADER},reference"]
     for row in table.rows:
-        ref = reference_value(name, row.alternative, row.n)
-        lines.append(
-            f"{row.test},{row.alternative},{row.n},{row.alpha:.6g},{row.trials},"
-            f"{row.rejections},{row.power:.6g},{row.se:.6g},{ref:.6g}"
-        )
+        lines.append(f"{power_csv_line(row)},{reference_value(name, row.alternative, row.n):.6g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

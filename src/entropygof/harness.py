@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .kstest import CalibrationCache, KsCriticalTable, ks_critical_simple, ks_statistic, lilliefors_critical
+from .kstest import CalibrationCache, ks_critical_simple, ks_statistic, lilliefors_critical
 from .maxent import solve_maxent
 from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
@@ -70,11 +70,11 @@ CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
 class TestKind:
     """One test of a power study, defined once.
 
-    context(config, cache) runs once per study, before any trial, and
-    returns what every trial needs (it travels to the workers inside each
-    chunk); statistic(context, alt, n, seeds) runs the block of trials
-    named by a list of seeds and returns one statistic per trial;
-    critical(context, alpha, n) is a row's critical value.  A trial
+    context(config) runs once per study and returns what every trial reads
+    (it travels to the workers inside each chunk); statistic(context, alt,
+    n, seeds) runs the block of trials named by a list of seeds and returns
+    one statistic per trial; critical(config, cache, n) is the critical
+    value at sample size n, taken once per n before the first row.  A trial
     rejects when its statistic exceeds the critical value.  Entries call
     the layer functions by their names in this module, so tracing that
     rebinds those names sees every call.
@@ -87,35 +87,14 @@ class TestKind:
     critical: Callable
 
 
-def _chi2_critical(context, alpha: float, n: int) -> float:
-    return chi2_1_critical(alpha)
-
-
-def _et_simple_context(config: PowerStudyConfig, cache) -> tuple:
-    # the quadrature target is computed here once and shipped as an exact float
-    return null_constraint(config.null_spec)
-
-
 def _et_simple_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
     mu, sigma, constraint = context
     g = constraint.values(standardize(sample(alt, n, seeds), mu, sigma))
     return solve_maxent(g).statistic
 
 
-def _ks_simple_context(config: PowerStudyConfig, cache) -> Callable:
-    return partial(cdf, config.null_spec)
-
-
 def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
     return ks_statistic(sample(alt, n, seeds), null_cdf)
-
-
-def _ks_simple_critical(context, alpha: float, n: int) -> float:
-    return ks_critical_simple(n, alpha)
-
-
-def _et_regression_context(config: PowerStudyConfig, cache) -> LinearModelSpec:
-    return config.null_spec
 
 
 def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
@@ -124,25 +103,40 @@ def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: i
     return solve_maxent(np.sin(z)).statistic
 
 
-def _ks_regression_context(config: PowerStudyConfig, cache) -> tuple:
-    return config.null_spec, ensure_lilliefors_table(config, cache)
-
-
-def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    y, X = simulate_model(context[0], n, seeds, error_process=alt)
+def _ks_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
+    y, X = simulate_model(model, n, seeds, error_process=alt)
     return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
 
 
-def _ks_regression_critical(context, alpha: float, n: int) -> float:
-    return context[1].critical_for(n)
+def ensure_lilliefors_table(config: PowerStudyConfig, cache: CalibrationCache | None, n: int) -> float:
+    """The calibrated critical of a ks-regression study at sample size n.
+
+    perfbench/study.py wraps this name as its calibration layer.
+    """
+    model, trials = config.null_spec, config.lilliefors_trials
+    return lilliefors_critical(model, n, config.alpha, trials, config.master_seed, cache)
+
+
+def _chi2_critical(config: PowerStudyConfig, cache, n: int) -> float:
+    return chi2_1_critical(config.alpha)
+
+
+def _ks_simple_critical(config: PowerStudyConfig, cache, n: int) -> float:
+    return ks_critical_simple(n, config.alpha)
+
+
+def _null_model(config: PowerStudyConfig) -> LinearModelSpec:
+    return config.null_spec
 
 
 TEST_KINDS: dict[str, TestKind] = {
-    # name: TestKind(regression, min_n, context, statistic, critical)
-    "et-simple": TestKind(False, 2, _et_simple_context, _et_simple_statistic, _chi2_critical),
-    "ks-simple": TestKind(False, 1, _ks_simple_context, _ks_simple_statistic, _ks_simple_critical),
-    "et-regression": TestKind(True, 4, _et_regression_context, _et_regression_statistic, _chi2_critical),
-    "ks-regression": TestKind(True, 4, _ks_regression_context, _ks_regression_statistic, _ks_regression_critical),
+    # name: TestKind(regression, min_n, context, statistic, critical); the et-simple
+    # context holds the null's quadrature target, computed once per study
+    "et-simple": TestKind(False, 2, lambda c: null_constraint(c.null_spec), _et_simple_statistic, _chi2_critical),
+    "ks-simple": TestKind(False, 1, lambda c: partial(cdf, c.null_spec), _ks_simple_statistic, _ks_simple_critical),
+    "et-regression": TestKind(True, 4, _null_model, _et_regression_statistic, _chi2_critical),
+    # the lambda looks ensure_lilliefors_table up at each call, so a rebinding of the name is seen
+    "ks-regression": TestKind(True, 4, _null_model, _ks_regression_statistic, lambda *a: ensure_lilliefors_table(*a)),
 }
 
 # the nulls of a simple study have a marginal distribution; et-simple's
@@ -177,6 +171,9 @@ class PowerStudyConfig:
         kind = TEST_KINDS[self.test]
         if not self.sample_sizes or any(n < kind.min_n for n in self.sample_sizes):
             raise ValueError(f"{self.test} needs sample sizes >= {kind.min_n}")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            # two rows with one (alternative, n) key would report different results
+            raise ValueError(f"sample sizes repeat in {self.sample_sizes}; give each n once")
         if kind.regression and not isinstance(self.null_spec, LinearModelSpec):
             raise ValueError("regression tests need a LinearModelSpec null")
         if not kind.regression and not isinstance(self.null_spec, _SIMPLE_NULLS):
@@ -234,50 +231,32 @@ class PowerTable:
 # ---------------------------------------------------------------------------
 
 
-def _block_outcome(statistic: Callable, context, alt, n: int, seeds: list[SeedSpec], critical) -> tuple[int, int]:
-    """(rejections, failures) of one block of trials.
+def _block_statistics(statistic: Callable, context, alt, n: int, seeds: list[SeedSpec]) -> np.ndarray:
+    """The statistics of one block of trials; NaN marks a degenerate trial.
 
     A degenerate trial spoils its block's call, so that block runs again
-    one trial at a time: each degenerate trial counts as one failure,
-    whatever the block size.
+    one trial at a time: each degenerate trial is one NaN, whatever the
+    block size.
     """
     try:
-        return int(np.count_nonzero(statistic(context, alt, n, seeds) > critical)), 0
+        return statistic(context, alt, n, seeds)
     except DegenerateTrialError:
         if len(seeds) == 1:
-            return 0, 1
-        outcomes = [_block_outcome(statistic, context, alt, n, [seed], critical) for seed in seeds]
-        return sum(r for r, _ in outcomes), sum(f for _, f in outcomes)
+            return np.full(1, np.nan)
+        return np.concatenate([_block_statistics(statistic, context, alt, n, [seed]) for seed in seeds])
 
 
-def _run_chunk(payload) -> tuple[int, int]:
-    """(rejections, failures) over one contiguous trial range; worker-safe.
+def _run_chunk(payload) -> np.ndarray:
+    """The statistics of the trials on streams first, ..., stop - 1, in
+    trial order; worker-safe.
 
     The range runs in blocks (sampling.seed_blocks); trial t still draws
-    from its own stream, so the counts do not depend on the blocks.
+    from its own stream, so the statistics do not depend on the blocks.
     """
-    test, alt, n, master_seed, row_idx, t_start, t_stop, context, critical = payload
+    test, alt, n, master_seed, first, stop, context = payload
     statistic = TEST_KINDS[test].statistic
-    base = row_idx * _ROW_STRIDE
-    rejections = failures = 0
-    for seeds in seed_blocks(master_seed, base + t_start, base + t_stop, n):
-        r, f = _block_outcome(statistic, context, alt, n, seeds, critical)
-        rejections += r
-        failures += f
-    return rejections, failures
-
-
-def ensure_lilliefors_table(
-    config: PowerStudyConfig, cache: CalibrationCache | None = None
-) -> KsCriticalTable:
-    """Calibrated criticals for every sample size of a ks-regression study."""
-    entries = {
-        n: lilliefors_critical(
-            config.null_spec, n, config.alpha, config.lilliefors_trials, config.master_seed, cache
-        )
-        for n in config.sample_sizes
-    }
-    return KsCriticalTable(alpha=config.alpha, entries=entries)
+    blocks = seed_blocks(master_seed, first, stop, n)
+    return np.concatenate([_block_statistics(statistic, context, alt, n, seeds) for seeds in blocks])
 
 
 def run_power_study(
@@ -289,14 +268,17 @@ def run_power_study(
     """Rejection-rate grid over (alternative, n); deterministic given the seed.
 
     Trials draw from per-trial streams (row index * 2**32 + trial index), so
-    the output is identical for any worker count.  Degenerate trials
-    (DegenerateTrialError) are tallied per row, and a rate above 0.1% aborts
-    the run; any other error propagates.
+    the output is identical for any worker count.  Each n's critical value
+    is taken once, before the first row; the trial chunks return statistics
+    and the decisions are made here.  Degenerate trials (DegenerateTrialError)
+    are tallied per row, and a rate above 0.1% aborts the run; any other
+    error propagates.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kind = TEST_KINDS[config.test]
-    context = kind.context(config, cache)
+    context = kind.context(config)
+    criticals = {n: kind.critical(config, cache, n) for n in config.sample_sizes}
 
     rows: list[PowerRow] = []
     row_specs = [
@@ -307,19 +289,15 @@ def run_power_study(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for row_idx, (alt_idx, alt, n) in enumerate(row_specs):
-            critical = kind.critical(context, config.alpha, n)
+            base = row_idx * _ROW_STRIDE
             bounds = np.linspace(0, config.trials, (workers if pool else 1) + 1).astype(int)
             payloads = [
-                (config.test, alt, n, config.master_seed, row_idx, int(lo), int(hi), context, critical)
+                (config.test, alt, n, config.master_seed, base + int(lo), base + int(hi), context)
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
-            if pool:
-                results = list(pool.map(_run_chunk, payloads))
-            else:
-                results = [_run_chunk(p) for p in payloads]
-            rejections = sum(r for r, _ in results)
-            failures = sum(f for _, f in results)
+            stats = np.concatenate(list((pool.map if pool else map)(_run_chunk, payloads)))
+            failures = int(np.count_nonzero(np.isnan(stats)))
             if failures > 0.001 * config.trials:
                 raise RuntimeError(
                     f"row ({config.row_label(alt_idx)!r}, n={n}): {failures} trial failures "
@@ -331,7 +309,7 @@ def run_power_study(
                 n=n,
                 alpha=config.alpha,
                 trials=config.trials,
-                rejections=rejections,
+                rejections=int(np.count_nonzero(stats > criticals[n])),
                 failures=failures,
             )
             rows.append(row)
@@ -348,18 +326,18 @@ def run_power_study(
 # ---------------------------------------------------------------------------
 
 
+def power_csv_line(r: PowerRow) -> str:
+    """One row in the CSV_HEADER columns; numeric reals at 6 significant digits."""
+    if "," in r.alternative:
+        raise ValueError(f"row label {r.alternative!r} may not contain commas")
+    return f"{r.test},{r.alternative},{r.n},{r.alpha:.6g},{r.trials},{r.rejections},{r.power:.6g},{r.se:.6g}"
+
+
 def emit_power_csv(table: PowerTable, path: str | Path) -> None:
-    """Write the fixed 8-column schema; numeric reals at 6 significant digits."""
+    """Write the fixed 8-column schema, one power_csv_line per row."""
     if not table.rows:
         raise ValueError("refusing to write an empty power table")
-    lines = [CSV_HEADER]
-    for r in table.rows:
-        if "," in r.alternative:
-            raise ValueError(f"row label {r.alternative!r} may not contain commas")
-        lines.append(
-            f"{r.test},{r.alternative},{r.n},{r.alpha:.6g},{r.trials},{r.rejections},{r.power:.6g},{r.se:.6g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join([CSV_HEADER, *map(power_csv_line, table.rows)]) + "\n")
 
 
 def read_power_csv(path: str | Path) -> PowerTable:

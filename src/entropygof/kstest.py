@@ -25,6 +25,7 @@ try:
 except ImportError:  # no advisory file locks (Windows): puts are not serialised
     flock = None
 
+from .numerics import eval_vectorized
 from .results import TestResult
 from .sampling import SeedSpec, seed_blocks
 
@@ -64,12 +65,7 @@ def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
     if np.isnan(x[..., -1]).any():  # np.sort puts NaN last
         raise ValueError("ks_statistic requires data without NaN")
     n = x.shape[-1]
-    try:
-        f = np.asarray(null_cdf(x), dtype=np.float64)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(null_cdf(float(v))) for v in x.ravel()]).reshape(x.shape)
+    f = eval_vectorized(null_cdf, x)
     j = np.arange(1, n + 1, dtype=np.float64)
     d_plus = np.max(j / n - f, axis=-1)
     d_minus = np.max(f - (j - 1.0) / n, axis=-1)

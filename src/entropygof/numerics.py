@@ -379,21 +379,22 @@ class QuadratureError(RuntimeError):
         self.error = error
 
 
-def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
+def eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f over the array x in one call, or point by point when f is
+    scalar-only (it raises TypeError or ValueError, or returns another shape)."""
     try:
         y = np.asarray(f(x), dtype=np.float64)
         if y.shape != x.shape:
             raise TypeError
     except (TypeError, ValueError):
-        # integrand is scalar-only; evaluate pointwise
-        y = np.array([float(f(float(xi))) for xi in x])
+        y = np.array([float(f(float(xi))) for xi in x.ravel()]).reshape(x.shape)
     return y
 
 
 def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = _eval_vectorized(f, mid + half * _NODES15)
+    y = eval_vectorized(f, mid + half * _NODES15)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"integrand not finite on [{a}, {b}]")
     k15 = half * float(_WK15 @ y)

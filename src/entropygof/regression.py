@@ -70,6 +70,8 @@ class LinearModelSpec:
             raise ValueError("beta must have at least one coefficient")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
+        if not all(map(math.isfinite, (*self.beta, self.sigma2))):
+            raise ValueError("beta and sigma2 must be finite")
         if self.error_process is None:
             object.__setattr__(self, "error_process", self.null_errors())
 

@@ -13,6 +13,7 @@ function so that output is bit-identical across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import Iterator, Sequence, Union
 
@@ -116,6 +117,15 @@ def uniform_block(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(spec) -> None:
+    """Reject a spec whose numeric parameters (or coefficients) are not all finite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in values):
+            raise ValueError(f"{type(spec).__name__} {f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class Normal:
     mu: float = 0.0
@@ -124,6 +134,7 @@ class Normal:
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError("Normal sigma must be positive")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,7 @@ class Uniform:
     def __post_init__(self) -> None:
         if not self.low < self.high:
             raise ValueError("Uniform requires low < high")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,7 @@ class Exponential:
     def __post_init__(self) -> None:
         if not self.rate > 0:
             raise ValueError("Exponential rate must be positive")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,7 @@ class Cauchy:
     def __post_init__(self) -> None:
         if not self.scale > 0:
             raise ValueError("Cauchy scale must be positive")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -166,6 +180,7 @@ class StudentT:
             raise ValueError("StudentT dof must be an integer >= 2")
         if not self.scale > 0:
             raise ValueError("StudentT scale must be positive")
+        _require_finite(self)
         # the dof sets an array shape and the label's digits
         object.__setattr__(self, "dof", int(self.dof))
 
@@ -179,6 +194,7 @@ class CenteredLogNormal:
     def __post_init__(self) -> None:
         if not self.sigma2_log > 0:
             raise ValueError("sigma2_log must be positive")
+        _require_finite(self)
 
     @property
     def shift(self) -> float:
@@ -201,6 +217,7 @@ class ARProcess:
         object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
         if len(self.rho) == 0:
             raise ValueError("ARProcess needs at least one coefficient")
+        _require_finite(self)
         if isinstance(self.innovation, (ARProcess, MAProcess)):
             raise ValueError("process innovations must be an iid distribution")
 
@@ -224,6 +241,7 @@ class MAProcess:
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         if len(self.theta) == 0:
             raise ValueError("MAProcess needs at least one coefficient")
+        _require_finite(self)
         if isinstance(self.innovation, (ARProcess, MAProcess)):
             raise ValueError("process innovations must be an iid distribution")
 
@@ -496,7 +514,11 @@ def parse_distribution(text: str, innovation: DistributionSpec | None = None) ->
     except ValueError as exc:
         raise ValueError(f"bad parameters in {text!r}; expected {usage}") from exc
     if serial and vals:
-        return cls(tuple(vals)) if innovation is None else cls(tuple(vals), innovation)
-    if not serial and sum(f.default is MISSING for f in params) <= len(vals) <= len(params):
+        vals = [tuple(vals)] if innovation is None else [tuple(vals), innovation]
+    elif serial or not sum(f.default is MISSING for f in params) <= len(vals) <= len(params):
+        raise ValueError(f"wrong number of parameters in {text!r}; expected {usage}")
+    try:
         return cls(*vals)
-    raise ValueError(f"wrong number of parameters in {text!r}; expected {usage}")
+    except ValueError as exc:
+        # a spec's own check names the entry, as the grammar's errors do
+        raise ValueError(f"{text!r}: {exc}") from exc

@@ -117,6 +117,12 @@ class TestCmdTest:
         code, _, _ = run_cli(capsys, ["test", str(normal_file), "--sigma", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--mu", "inf"), ("--sigma", "inf")])
+    def test_nonfinite_null_parameter(self, normal_file, capsys, flag, value):
+        code, _, err = run_cli(capsys, ["test", str(normal_file), flag, value])
+        assert code == 2
+        assert f"Normal {flag[2:]} must be finite" in err
+
     def test_unknown_flag(self, normal_file, capsys):
         assert main(["test", str(normal_file), "--bogus"]) == 2
 

@@ -1,5 +1,9 @@
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
@@ -82,6 +86,11 @@ class TestConfigValidation:
     def test_et_simple_min_n(self):
         with pytest.raises(ValueError, match="sample sizes"):
             small_config(sample_sizes=(1, 25))
+
+    def test_repeated_sample_sizes(self):
+        # two rows with one (alternative, n) key would report different results
+        with pytest.raises(ValueError, match=r"sample sizes repeat in \(25, 50, 25\)"):
+            small_config(sample_sizes=(25, 50, 25))
 
     def test_shared_row_labels(self):
         # an AR label omits the innovation, so these two rows would share one
@@ -513,6 +522,56 @@ def test_benchmark_tracer_bindings(monkeypatch):
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     importlib.import_module("study").install_tracer(PassThrough())
+
+
+_SPANS_SCRIPT = """
+import json, tempfile
+from pathlib import Path
+import entropygof as eg
+import spans, study
+from entropygof.harness import TEST_KINDS
+from entropygof.regression import DEFAULT_MODEL
+tracer = spans.Tracer()
+study.install_tracer(tracer)
+hit = {}
+for test in ("et-simple", "ks-simple", "et-regression", "ks-regression"):
+    null = {"null_spec": DEFAULT_MODEL} if TEST_KINDS[test].regression else {}
+    cfg = eg.PowerStudyConfig(
+        test=test, alternatives=(eg.Cauchy(0.0, 1.0),), sample_sizes=(50,), trials=100, lilliefors_trials=1000, **null
+    )
+    first = len(tracer.spans)
+    with tempfile.TemporaryDirectory() as cold:
+        eg.run_power_study(cfg, cache=eg.CalibrationCache(Path(cold) / "calibration.txt"))
+    hit[test] = sorted({span[0] for span in tracer.spans[first:]})
+print(json.dumps(hit))
+"""
+
+_REGRESSION_SPANS = {"regression.simulate", "regression.ols_fit", "regression.transform"}
+
+
+def test_benchmark_tracer_spans_hit():
+    """Each test kind's study runs through the layer functions that
+    perfbench/study.py wraps, so every layer it uses shows up as a span.
+
+    The alternative is Cauchy, so the normal quantile is hit only where a
+    ks-regression calibration draws its null normals.  sampling.stream is
+    never hit: it wraps SeedSpec.generator, which the block engine does not
+    call (ROADMAP, item 2).
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", _SPANS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    hit = {test: set(names) for test, names in json.loads(run.stdout).items()}
+    chunk = {"harness.chunk", "sampling.draw"}
+    assert hit == {
+        "et-simple": chunk | {"moments.kernel", "maxent.solve"},
+        "ks-simple": chunk | {"kstest.critical", "kstest.statistic", "numerics.normal_cdf"},
+        "et-regression": chunk | _REGRESSION_SPANS | {"maxent.solve"},
+        "ks-regression": chunk
+        | _REGRESSION_SPANS
+        | {"kstest.statistic", "numerics.normal_cdf", "numerics.normal_quantile"}
+        | {"kstest.calibration", "kstest.calibration_trial", "kstest.cache_lookup"},
+    }
 
 
 def test_bundled_tables_cover_references():

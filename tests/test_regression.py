@@ -226,6 +226,9 @@ class TestModelSpec:
             rg.LinearModelSpec(beta=(), sigma2=1.0)
         with pytest.raises(ValueError):
             rg.LinearModelSpec(beta=(1.0,), sigma2=0.0)
+        for beta, sigma2 in (((1.0, math.inf), 4.0), ((1.0, math.nan), 4.0), ((1.0, 5.0), math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                rg.LinearModelSpec(beta=beta, sigma2=sigma2)
 
     def test_design_shape_and_intercept(self):
         _, X = rg.simulate_model(MODEL, 40, SeedSpec(38, 0))

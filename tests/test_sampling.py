@@ -427,6 +427,20 @@ class TestColonGrammar:
             ("ar", "expected ar:rho"),
             ("t:2.7", "integer"),
             ("t:1e400", "integer"),
+            # a spec's own check names the entry it came from
+            ("t:2.7", r"^'t:2.7': StudentT dof must be an integer >= 2$"),
+            ("normal:0:-1", r"^'normal:0:-1': Normal sigma must be positive$"),
+            ("normal:inf:1", r"^'normal:inf:1': Normal mu must be finite$"),
+            ("normal:nan:1", "Normal mu must be finite"),
+            ("uniform:0:inf", "Uniform high must be finite"),
+            ("uniform:-inf:0", "Uniform low must be finite"),
+            ("cauchy:0:inf", "Cauchy scale must be finite"),
+            ("exponential:inf", "Exponential rate must be finite"),
+            ("expo:1:nan", "Exponential shift must be finite"),
+            ("t:3:inf", "StudentT scale must be finite"),
+            ("clognormal:inf", "CenteredLogNormal sigma2_log must be finite"),
+            ("ar:inf", r"^'ar:inf': ARProcess rho must be finite$"),
+            ("ma:0.5:nan", "MAProcess theta must be finite"),
         ],
     )
     def test_rejects(self, text, match):
