@@ -16,17 +16,14 @@ from .harness import (
     emit_power_csv,
     emit_power_svg,
     load_config,
-    read_power_csv,
     run_power_study,
 )
 from .kstest import (
     CalibrationCache,
-    KsCriticalTable,
     kolmogorov_critical,
     kolmogorov_sf,
     ks_critical_simple,
     ks_statistic,
-    lilliefors_calibrate,
     lilliefors_critical,
     run_ks_test,
 )

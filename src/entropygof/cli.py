@@ -13,6 +13,7 @@ input error.  Other subcommands: 0 on success, 2 on usage/config errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -58,7 +59,7 @@ def _default_seed() -> int:
 
 
 def read_data_file(path: str | Path) -> list[float]:
-    """One numeric value per line; '#' comments and blank lines ignored."""
+    """One finite numeric value per line; '#' comments and blank lines ignored."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"data file not found: {p}")
@@ -68,9 +69,12 @@ def read_data_file(path: str | Path) -> list[float]:
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
-            raise CliError(f"{p}:{lineno}: not a number: {line!r}")
+            value = math.nan
+        if not math.isfinite(value):
+            raise CliError(f"{p}:{lineno}: not a finite number: {line!r}")
+        values.append(value)
     if len(values) < 2:
         raise CliError(f"{p}: need at least 2 data values, found {len(values)}")
     return values
@@ -90,6 +94,10 @@ def _cmd_test(args: argparse.Namespace) -> int:
             raise CliError("the ks method needs a full CDF; use --null normal or cauchy")
         if args.cf_integral is None:
             raise CliError("--null custom-cf-integral requires --cf-integral VALUE")
+        # a named null checks its own parameters; these go straight into the test
+        for flag, value in (("--mu", args.mu), ("--sigma", args.sigma), ("--cf-integral", args.cf_integral)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
         loc, scale = args.mu, args.sigma
         constraint = MomentConstraint(kernel=sinc_kernel, target=args.cf_integral, label="cf-custom")
     else:

@@ -54,7 +54,6 @@ __all__ = [
     "PowerTable",
     "run_power_study",
     "emit_power_csv",
-    "read_power_csv",
     "emit_power_svg",
     "load_config",
     "DEFAULT_SEED",
@@ -338,29 +337,6 @@ def emit_power_csv(table: PowerTable, path: str | Path) -> None:
     if not table.rows:
         raise ValueError("refusing to write an empty power table")
     Path(path).write_text("\n".join([CSV_HEADER, *map(power_csv_line, table.rows)]) + "\n")
-
-
-def read_power_csv(path: str | Path) -> PowerTable:
-    """Parse a file produced by emit_power_csv back into a PowerTable."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unrecognized power CSV header in {path}")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        test, alternative, n, alpha, trials, rejections, _power, _se = line.split(",")
-        rows.append(
-            PowerRow(
-                test=test,
-                alternative=alternative,
-                n=int(n),
-                alpha=float(alpha),
-                trials=int(trials),
-                rejections=int(rejections),
-            )
-        )
-    return PowerTable(rows=rows)
 
 
 _SVG_PALETTE = (

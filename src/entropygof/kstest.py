@@ -2,11 +2,12 @@
 and Monte Carlo calibrated critical values for the regression setting.
 
 Simple-null criticals invert the Kolmogorov limit distribution and apply
-the finite-sample denominator sqrt(n) + 0.12 + 0.11/sqrt(n), which is
+Stephens' finite-sample scale sqrt(n) + 0.12 + 0.11/sqrt(n), which is
 accurate to within Monte Carlo noise for n >= 25.  When model parameters
 are estimated (the regression pipeline), criticals are instead calibrated
-by simulating the full null pipeline, because published location-scale
-tables do not match the leverage-standardized residuals tested here.
+by simulating the full null pipeline (Lilliefors), because published
+location-scale tables do not match the leverage-standardized residuals
+tested here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -27,7 +27,7 @@ except ImportError:  # no advisory file locks (Windows): puts are not serialised
 
 from .numerics import eval_vectorized
 from .results import TestResult
-from .sampling import SeedSpec, seed_blocks
+from .sampling import seed_blocks
 
 if TYPE_CHECKING:
     from .regression import LinearModelSpec
@@ -38,9 +38,7 @@ __all__ = [
     "kolmogorov_critical",
     "ks_critical_simple",
     "run_ks_test",
-    "KsCriticalTable",
     "CalibrationCache",
-    "lilliefors_calibrate",
     "lilliefors_critical",
     "CAL_STREAM_BASE",
 ]
@@ -106,13 +104,18 @@ def kolmogorov_critical(alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _stephens_scale(n: int) -> float:
+    """sqrt(n) + 0.12 + 0.11/sqrt(n): D times this is close to the
+    Kolmogorov limit law already at small n (Stephens, JRSS B 1970)."""
+    rn = math.sqrt(n)
+    return rn + 0.12 + 0.11 / rn
+
+
 def ks_critical_simple(n: int, alpha: float) -> float:
     """Finite-n corrected critical D for a fully specified null."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k_alpha = kolmogorov_critical(alpha)
-    rn = math.sqrt(n)
-    return k_alpha / (rn + 0.12 + 0.11 / rn)
+    return kolmogorov_critical(alpha) / _stephens_scale(n)
 
 
 def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
@@ -125,12 +128,10 @@ def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
         raise ValueError("critical must be positive")
     d = ks_statistic(data, null_cdf)
     n = len(np.atleast_1d(np.asarray(data)))
-    rn = math.sqrt(n)
-    p_value = kolmogorov_sf((rn + 0.12 + 0.11 / rn) * d)
     return TestResult(
         statistic=d,
         critical=critical,
-        p_value=p_value,
+        p_value=kolmogorov_sf(_stephens_scale(n) * d),
         reject=bool(d > critical),
         method="ks",
     )
@@ -139,23 +140,6 @@ def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
 # ---------------------------------------------------------------------------
 # Calibrated critical values for the regression pipeline
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class KsCriticalTable:
-    """Calibrated critical D values per sample size at one alpha."""
-
-    alpha: float
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def critical_for(self, n: int) -> float:
-        try:
-            return self.entries[n]
-        except KeyError:
-            raise LookupError(
-                f"no calibrated critical for n={n} at alpha={self.alpha}; "
-                f"run lilliefors_critical (or the CLI calibrate command) first"
-            ) from None
 
 
 class CalibrationCache:
@@ -231,39 +215,6 @@ def design_hash(model: "LinearModelSpec") -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
-def lilliefors_calibrate(
-    n: int,
-    alpha: float,
-    model: "LinearModelSpec",
-    trials: int,
-    seed: SeedSpec,
-) -> float:
-    """Critical D from simulating the full null regression pipeline.
-
-    Each trial draws a fresh design and normal errors, fits by least
-    squares, standardizes residuals by their estimated standard deviation,
-    and records the KS distance to the standard normal; the empirical
-    (1 - alpha) quantile (ceil((1-alpha)*trials)-th order statistic) is
-    returned.  Deterministic given seed; trial t uses stream_id + t.  The
-    trials run in blocks (sampling.seed_blocks), which never changes a draw.
-    """
-    from .regression import null_trial_ks_distance
-
-    if trials < 1000:
-        raise ValueError("calibration needs at least 1000 trials")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    first = seed.stream_id
-    distances = np.concatenate(
-        [null_trial_ks_distance(model, n, seeds) for seeds in seed_blocks(seed.master_seed, first, first + trials, n)]
-    )
-    distances.sort()
-    rank = math.ceil((1.0 - alpha) * trials)  # alpha -> 1 gives rank 0: criticals degenerate to 0
-    if rank <= 0:
-        return 0.0
-    return float(distances[rank - 1])
-
-
 def lilliefors_critical(
     model: "LinearModelSpec",
     n: int,
@@ -272,19 +223,38 @@ def lilliefors_critical(
     master_seed: int,
     cache: CalibrationCache | None = None,
 ) -> float:
-    """Cache-aware calibrated critical with the canonical stream layout.
+    """Critical D from simulating the full null regression pipeline.
 
-    Calibration streams start at CAL_STREAM_BASE + n * 2**32, so the value
-    is a pure function of (master_seed, n, alpha, trials, design rule) and
-    on-disk cache entries are portable across runs.
+    Each trial draws a fresh design and normal errors, fits by least
+    squares, standardizes residuals by their estimated standard deviation,
+    and records the KS distance to the standard normal
+    (regression.null_trial_ks_distance); the empirical (1 - alpha) quantile
+    (ceil((1-alpha)*trials)-th order statistic) is returned.  Trial t draws
+    from stream CAL_STREAM_BASE + n * 2**32 + t, so the value is a pure
+    function of (master_seed, n, alpha, trials, design rule) and cache
+    entries are portable across runs.  The trials run in blocks
+    (sampling.seed_blocks), which never changes a draw.
     """
+    from .regression import null_trial_ks_distance
+
+    if trials < 1000:
+        raise ValueError("calibration needs at least 1000 trials")
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError("alpha must lie in (0, 1]")
+    if n <= model.k:
+        raise ValueError(f"calibration needs n > {model.k} (more observations than coefficients), got n = {n}")
     dh = design_hash(model)
     if cache is not None:
         hit = cache.get(n, alpha, dh, trials, master_seed)
         if hit is not None:
             return hit
-    base = SeedSpec(master_seed, CAL_STREAM_BASE + n * (1 << 32))
-    critical = lilliefors_calibrate(n, alpha, model, trials, base)
+    first = CAL_STREAM_BASE + n * (1 << 32)
+    distances = np.concatenate(
+        [null_trial_ks_distance(model, n, seeds) for seeds in seed_blocks(master_seed, first, first + trials, n)]
+    )
+    distances.sort()
+    rank = math.ceil((1.0 - alpha) * trials)  # alpha -> 1 gives rank 0: criticals degenerate to 0
+    critical = float(distances[rank - 1]) if rank > 0 else 0.0
     if cache is not None:
         cache.put(n, alpha, dh, trials, master_seed, critical)
     return critical

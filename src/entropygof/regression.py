@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kstest import KsCriticalTable, ks_statistic
+from .kstest import ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
 from .results import TestResult, chi2_1_decision
@@ -35,6 +35,7 @@ __all__ = [
     "ols_fit",
     "ratio_transform",
     "standardized_residuals",
+    "residual_ks_distance",
     "run_regression_et",
     "run_regression_ks",
     "simulate_model",
@@ -173,21 +174,22 @@ def run_regression_et(y, X, alpha: float = 0.05) -> TestResult:
     return chi2_1_decision(solve_maxent(np.sin(z)).statistic, alpha, "et-regression")
 
 
-def run_regression_ks(y, X, alpha: float, critical_table: KsCriticalTable) -> TestResult:
-    """KS test of residual normality with a calibrated critical value.
+def residual_ks_distance(y, X) -> float | np.ndarray:
+    """KS distance of the standardized least-squares residuals to N(0, 1):
+    the ks-regression statistic of one (y, X), or of each fit of a block."""
+    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
 
-    Residuals are standardized by their estimated standard deviation and
-    compared to the standard normal CDF; the critical value must come from
-    a null-pipeline calibration for this sample size.
+
+def run_regression_ks(y, X, critical: float) -> TestResult:
+    """KS test of residual normality against a calibrated critical value.
+
+    The critical must come from a null-pipeline calibration for this
+    sample size (kstest.lilliefors_critical); with estimated parameters
+    there is no closed-form p-value, so none is reported.
     """
-    if critical_table.alpha != alpha:
-        raise ValueError(
-            f"critical table was calibrated at alpha={critical_table.alpha}, not {alpha}"
-        )
-    y = np.asarray(y, dtype=np.float64)
-    critical = critical_table.critical_for(y.size)
-    fit = ols_fit(y, X)
-    d = ks_statistic(standardized_residuals(fit), normal_cdf)
+    if not critical > 0.0:
+        raise ValueError("critical must be positive")
+    d = residual_ks_distance(y, X)
     return TestResult(
         statistic=d,
         critical=critical,
@@ -232,8 +234,6 @@ def simulate_model(
 def null_trial_ks_distance(
     model: LinearModelSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]
 ) -> float | np.ndarray:
-    """KS distance of standardized residuals for one null-pipeline trial,
-    or the B distances of a block of seeds."""
-    y, X = simulate_model(model, n, seed, error_process=model.null_errors())
-    fit = ols_fit(y, X)
-    return ks_statistic(standardized_residuals(fit), normal_cdf)
+    """residual_ks_distance of one null-pipeline trial, or the B distances
+    of a block of seeds."""
+    return residual_ks_distance(*simulate_model(model, n, seed, error_process=model.null_errors()))

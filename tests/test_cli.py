@@ -51,6 +51,15 @@ class TestDataFile:
         code, _, err = run_cli(capsys, ["test", "definitely-not-here.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_nonfinite_line_rejected(self, tmp_path, capsys, token):
+        path = tmp_path / "d.txt"
+        path.write_text(f"1.0\n2.0\n{token}\n")
+        for method in ("et", "ks"):
+            code, _, err = run_cli(capsys, ["test", str(path), "--method", method])
+            assert code == 2
+            assert f":3: not a finite number: '{token}'" in err
+
     def test_too_few_values(self, tmp_path, capsys):
         path = tmp_path / "one.txt"
         path.write_text("1.0\n")
@@ -122,6 +131,13 @@ class TestCmdTest:
         code, _, err = run_cli(capsys, ["test", str(normal_file), flag, value])
         assert code == 2
         assert f"Normal {flag[2:]} must be finite" in err
+
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--sigma", "inf"), ("--cf-integral", "inf")])
+    def test_nonfinite_custom_parameter(self, normal_file, capsys, flag, value):
+        argv = ["test", str(normal_file), "--null", "custom-cf-integral", "--cf-integral", "1.7112487837842976"]
+        code, _, err = run_cli(capsys, [*argv, flag, value])
+        assert code == 2
+        assert f"{flag} must be finite" in err
 
     def test_unknown_flag(self, normal_file, capsys):
         assert main(["test", str(normal_file), "--bogus"]) == 2
@@ -214,6 +230,14 @@ class TestCmdCalibrate:
         assert cache.exists()
         code, out2, _ = run_cli(capsys, argv)
         assert float(parse_report(out2)["critical"]) == crit
+
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_too_small_n_is_usage_error(self, tmp_path, capsys, n):
+        cache = tmp_path / "cal.txt"
+        code, out, err = run_cli(capsys, ["calibrate", "--n", n, "--trials", "1000", "--cache", str(cache)])
+        assert code == 2 and out == ""
+        assert "n > 2" in err
+        assert not cache.exists()
 
 
 class TestCmdTables:

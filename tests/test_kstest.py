@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from entropygof import kstest as ks
 from entropygof import sampling
 from entropygof.numerics import normal_cdf, normal_quantile
-from entropygof.regression import LinearModelSpec, ols_fit, simulate_model, standardized_residuals
+from entropygof.regression import (
+    LinearModelSpec,
+    null_trial_ks_distance,
+    ols_fit,
+    simulate_model,
+    standardized_residuals,
+)
 from entropygof.sampling import Normal, SeedSpec, sample
 
 K_ALPHA_05 = 1.3580986393225506  # frozen: bisection on the limit series at 40 digits
@@ -163,25 +169,54 @@ class TestSimpleNullSize:
         assert rej / trials == pytest.approx(0.05, abs=0.01)
 
 
+class _NoCache:
+    """A cache that fails the test when lilliefors_critical reads it."""
+
+    def get(self, *key):
+        raise AssertionError("the cache was read before the inputs were checked")
+
+
 class TestLilliefors:
     model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
 
     def test_requires_trials(self):
-        with pytest.raises(ValueError):
-            ks.lilliefors_calibrate(50, 0.05, self.model, trials=10, seed=SeedSpec(1, 0))
+        with pytest.raises(ValueError, match="1000 trials"):
+            ks.lilliefors_critical(self.model, 50, 0.05, trials=10, master_seed=1)
+
+    @pytest.mark.parametrize(
+        "n,alpha,trials,match",
+        [
+            (50, 0.05, 999, "trials"),
+            (50, 0.0, 1000, "alpha"),
+            (50, 1.5, 1000, "alpha"),
+            (2, 0.05, 1000, "n > 2"),
+            (0, 0.05, 1000, "n > 2"),
+        ],
+    )
+    def test_inputs_checked_before_cache_read(self, n, alpha, trials, match):
+        with pytest.raises(ValueError, match=match):
+            ks.lilliefors_critical(self.model, n, alpha, trials, 1, _NoCache())
 
     def test_alpha_one_degenerate(self):
-        assert ks.lilliefors_calibrate(50, 1.0, self.model, 1000, SeedSpec(1, 0)) == 0.0
+        assert ks.lilliefors_critical(self.model, 50, 1.0, 1000, 1) == 0.0
 
     def test_deterministic(self):
-        a = ks.lilliefors_calibrate(60, 0.05, self.model, 1500, SeedSpec(9, 0))
-        b = ks.lilliefors_calibrate(60, 0.05, self.model, 1500, SeedSpec(9, 0))
+        a = ks.lilliefors_critical(self.model, 60, 0.05, 1500, 9)
+        b = ks.lilliefors_critical(self.model, 60, 0.05, 1500, 9)
         assert a == b
 
+    def test_stream_layout(self):
+        # trial t of the calibration at n draws from stream 2**62 + n * 2**32 + t
+        n, trials = 30, 1000
+        first = (1 << 62) + n * (1 << 32)
+        seeds = [SeedSpec(9, first + t) for t in range(trials)]
+        distances = np.sort(null_trial_ks_distance(self.model, n, seeds))
+        assert ks.lilliefors_critical(self.model, n, 0.05, trials, 9) == distances[949]
+
     def test_block_size_does_not_change_value(self, monkeypatch):
-        blocked = ks.lilliefors_calibrate(60, 0.05, self.model, 1000, SeedSpec(9, 5))
+        blocked = ks.lilliefors_critical(self.model, 60, 0.05, 1000, 9)
         monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
-        assert ks.lilliefors_calibrate(60, 0.05, self.model, 1000, SeedSpec(9, 5)) == blocked
+        assert ks.lilliefors_critical(self.model, 60, 0.05, 1000, 9) == blocked
 
     def test_below_simple_critical(self):
         # estimating parameters shrinks D; calibrated criticals reflect that
@@ -191,19 +226,13 @@ class TestLilliefors:
     def test_self_consistent_size(self):
         n, trials = 120, 4000
         crit = ks.lilliefors_critical(self.model, n, 0.05, 20000, master_seed=606)
-        table = ks.KsCriticalTable(alpha=0.05, entries={n: crit})
         rej = 0
         for t in range(trials):
             y, X = simulate_model(self.model, n, SeedSpec(607, t), self.model.null_errors())
             fit = ols_fit(y, X)
             d = ks.ks_statistic(standardized_residuals(fit), normal_cdf)
-            rej += d > table.critical_for(n)
+            rej += d > crit
         assert rej / trials == pytest.approx(0.05, abs=0.012)
-
-    def test_missing_entry_instructive(self):
-        table = ks.KsCriticalTable(alpha=0.05, entries={100: 0.05})
-        with pytest.raises(LookupError, match="calibrate"):
-            table.critical_for(500)
 
 
 class TestCalibrationCache:

@@ -6,7 +6,6 @@ from helpers import ols_fit_reference, simulate_model_reference
 from hypothesis import given, settings, strategies as st
 
 from entropygof import regression as rg
-from entropygof.kstest import KsCriticalTable
 from entropygof.sampling import (
     ARProcess,
     Cauchy,
@@ -188,25 +187,17 @@ class TestRegressionEt:
 
 
 class TestRegressionKs:
-    def test_alpha_mismatch(self):
-        y, X = rg.simulate_model(MODEL, 60, SeedSpec(37, 0))
-        table = KsCriticalTable(alpha=0.10, entries={60: 0.09})
-        with pytest.raises(ValueError, match="alpha"):
-            rg.run_regression_ks(y, X, 0.05, table)
-
-    def test_missing_calibration(self):
+    def test_bad_critical(self):
         y, X = rg.simulate_model(MODEL, 60, SeedSpec(37, 1))
-        table = KsCriticalTable(alpha=0.05, entries={100: 0.08})
-        with pytest.raises(LookupError, match="calibrate"):
-            rg.run_regression_ks(y, X, 0.05, table)
+        for critical in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                rg.run_regression_ks(y, X, critical)
 
     def test_decision_wiring(self):
         y, X = rg.simulate_model(MODEL, 80, SeedSpec(37, 2), MODEL.null_errors())
-        loose = KsCriticalTable(alpha=0.05, entries={80: 0.9})
-        tight = KsCriticalTable(alpha=0.05, entries={80: 1e-6})
-        assert not rg.run_regression_ks(y, X, 0.05, loose).reject
-        assert rg.run_regression_ks(y, X, 0.05, tight).reject
-        assert rg.run_regression_ks(y, X, 0.05, loose).p_value is None
+        assert not rg.run_regression_ks(y, X, 0.9).reject
+        assert rg.run_regression_ks(y, X, 1e-6).reject
+        assert rg.run_regression_ks(y, X, 0.9).p_value is None
 
     def test_standardized_residuals_scale_free(self):
         _, X = simulate_model_reference(MODEL, 100, SeedSpec(37, 3))
