@@ -239,8 +239,8 @@ def lilliefors_critical(
 
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie in (0, 1)")
     if n <= model.k:
         raise ValueError(f"calibration needs n > {model.k} (more observations than coefficients), got n = {n}")
     dh = design_hash(model)
@@ -253,8 +253,8 @@ def lilliefors_critical(
         [null_trial_ks_distance(model, n, seeds) for seeds in seed_blocks(master_seed, first, first + trials, n)]
     )
     distances.sort()
-    rank = math.ceil((1.0 - alpha) * trials)  # alpha -> 1 gives rank 0: criticals degenerate to 0
-    critical = float(distances[rank - 1]) if rank > 0 else 0.0
+    rank = math.ceil((1.0 - alpha) * trials)  # 1 <= rank <= trials, as 0 < alpha < 1
+    critical = float(distances[rank - 1])
     if cache is not None:
         cache.put(n, alpha, dh, trials, master_seed, critical)
     return critical

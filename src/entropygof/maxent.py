@@ -71,18 +71,21 @@ def _moments(pi: np.ndarray, g: np.ndarray, gg: np.ndarray) -> tuple[np.ndarray,
     return mean, np.maximum(var, 0.0)
 
 
-def _tilt(g: np.ndarray, lam, gg: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _tilt(g: np.ndarray, lam, gg: np.ndarray, g_min, g_max) -> tuple[np.ndarray, ...]:
     """Weights, exponent max m, tilted mean and variance of g at lambda, and
     the partition sum z, so that log Z = m + ln z.  g is one vector and lam
-    a number, or g is a (B, n) block and lam holds one value per row."""
-    # x = -lam g, then in place: x - m, w = exp(x - m), pi = w / z
-    pi = -np.asarray(lam)[..., None] * g
-    m = pi.max(axis=-1)
+    a number, or g is a (B, n) block and lam holds one value per row; gg is
+    g * g, and g_min and g_max are the row minima and maxima of g."""
+    # x = -lam g, then in place: x - m, w = exp(x - m), pi = w / z; rounding
+    # is monotone, so the largest -lam g_j is -lam g_min or -lam g_max
+    neg_lam = -np.asarray(lam)
+    pi = neg_lam[..., None] * g
+    m = np.maximum(neg_lam * g_min, neg_lam * g_max)
     pi -= m[..., None]
     np.exp(pi, out=pi)
     z = pi.sum(axis=-1)
     pi /= z[..., None]
-    mean, var = _moments(pi, g, g * g if gg is None else gg)
+    mean, var = _moments(pi, g, gg)
     return pi, m, mean, var, z
 
 
@@ -134,7 +137,8 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     with np.errstate(over="ignore", invalid="ignore"):
         abs_tol = tol * scale
     margin = _FEASIBILITY_MARGIN * scale
-    feasible = (g.min(axis=1) + margin < 0.0) & (0.0 < g.max(axis=1) - margin)
+    g_min, g_max = g.min(axis=1), g.max(axis=1)
+    feasible = (g_min + margin < 0.0) & (0.0 < g_max - margin)
     infeasible = np.flatnonzero(~feasible & (scale != 0.0))
     out.record_failed(infeasible, np.abs(g[infeasible].mean(axis=1)))
 
@@ -142,13 +146,16 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     rows = np.flatnonzero(feasible)
     ga = g if rows.size == b else g[rows]
     gga = ga * ga
+    ga_min, ga_max = g_min[rows], g_max[rows]
     mean, var = _moments(np.full_like(ga, 1.0 / n), ga, gga)
     done = np.abs(mean) <= abs_tol[rows]
     if done.any():
         zeros = np.zeros(np.count_nonzero(done))
         out.record_solved(rows[done], 1.0 / n, zeros, zeros, np.full_like(zeros, n), mean[done], 0)
         keep = ~done
-        rows, ga, gga, mean, var = rows[keep], ga[keep], gga[keep], mean[keep], var[keep]
+        rows, ga, gga, ga_min, ga_max, mean, var = (
+            a[keep] for a in (rows, ga, gga, ga_min, ga_max, mean, var)
+        )
     if rows.size == 0:
         return out
 
@@ -161,7 +168,7 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     step = np.maximum(step, 1e-3 / row_scale)
     mean0, lo, f_lo = mean, np.zeros_like(mean), mean
     hi = np.where(mean > 0.0, step, -step)
-    f_hi = _tilt(ga, hi, gga)[2]
+    f_hi = _tilt(ga, hi, gga, ga_min, ga_max)[2]
     iterations = 1
     bracketed: list[tuple[np.ndarray, ...]] = []
     while True:
@@ -174,12 +181,14 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
                 (rows[crossed], np.where(up, hi_c, lo_c), np.where(up, lo_c, hi_c), np.full(up.size, iterations))
             )
             keep = ~crossed
-            rows, ga, gga, mean0, hi, f_hi = (a[keep] for a in (rows, ga, gga, mean0, hi, f_hi))
+            rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi = (
+                a[keep] for a in (rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi)
+            )
         if rows.size == 0:
             break
         lo, f_lo = hi, f_hi
         hi = hi * 2.0
-        f_hi = _tilt(ga, hi, gga)[2]
+        f_hi = _tilt(ga, hi, gga, ga_min, ga_max)[2]
         iterations += 1
         if iterations >= _MAX_ITER:
             out.record_failed(rows, np.abs(mean0), iterations)
@@ -191,9 +200,10 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     rows, lo, hi, iterations = (np.concatenate(parts) for parts in zip(*bracketed))
     ga = g[rows]
     gga = ga * ga
+    ga_min, ga_max = g_min[rows], g_max[rows]
     abs_tol = abs_tol[rows]
     lam = 0.5 * (lo + hi)
-    pi, m, mean, var, z = _tilt(ga, lam, gga)
+    pi, m, mean, var, z = _tilt(ga, lam, gga, ga_min, ga_max)
     while True:
         unmet = np.abs(mean) > abs_tol
         active = unmet & (iterations < _MAX_ITER)
@@ -202,8 +212,8 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
             out.record_solved(rows[met], pi[met], lam[met], m[met], z[met], mean[met], iterations[met])
             capped = unmet & ~active
             out.record_failed(rows[capped], np.abs(mean[capped]), iterations[capped])
-            rows, ga, gga, abs_tol, lam, lo, hi, mean, var, iterations = (
-                a[active] for a in (rows, ga, gga, abs_tol, lam, lo, hi, mean, var, iterations)
+            rows, ga, gga, ga_min, ga_max, abs_tol, lam, lo, hi, mean, var, iterations = (
+                a[active] for a in (rows, ga, gga, ga_min, ga_max, abs_tol, lam, lo, hi, mean, var, iterations)
             )
         if rows.size == 0:
             return out
@@ -217,7 +227,7 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
         candidate = lam + candidate
         inside = (np.minimum(lo, hi) < candidate) & (candidate < np.maximum(lo, hi))
         lam = np.where(inside, candidate, 0.5 * (lo + hi))
-        pi, m, mean, var, z = _tilt(ga, lam, gga)
+        pi, m, mean, var, z = _tilt(ga, lam, gga, ga_min, ga_max)
 
 
 def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:

@@ -9,6 +9,15 @@ numerical foundation of the test statistics is auditable end to end:
 * ``integrate`` is an adaptive 15-point Gauss-Kronrod scheme that splits
   the worst interval until the summed error estimate meets the tolerance.
 
+``erfc`` and ``normal_quantile`` evaluate their regimes over an array in
+one pass each: the widest regime (the middle one of ``erfc``, the central
+one of ``normal_quantile``) runs over the whole flattened array, and the
+others run only on the indices that fall in them, overwriting those
+entries.  Every regime keeps its coefficients, bounds and operation
+order, so a value does not depend on the array around it.  Polynomials
+are evaluated by Horner's rule in place (``out *= r; out += c``), the
+same two roundings per step as ``out * r + c``.
+
 All functions accept scalars or numpy arrays and are pure; they hold no
 shared mutable state and are safe to call concurrently.
 """
@@ -97,49 +106,78 @@ def _erf_small(x: np.ndarray) -> np.ndarray:
     # |x| <= 0.46875:  erf(x) = x * P(x^2)/Q(x^2)
     y = x * x
     num = _ERF_A[4] * y
-    den = y
+    den = y.copy()
     for i in range(3):
-        num = (num + _ERF_A[i]) * y
-        den = (den + _ERF_B[i]) * y
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+        num += _ERF_A[i]
+        num *= y
+        den += _ERF_B[i]
+        den *= y
+    num += _ERF_A[3]
+    num *= x
+    den += _ERF_B[3]
+    num /= den
+    return num
 
 
 def _erfc_mid(x: np.ndarray) -> np.ndarray:
     # 0.46875 < x <= 4:  erfc(x) = exp(-x^2) * P(x)/Q(x)
     num = _ERF_C[8] * x
-    den = x
+    den = x.copy()
     for i in range(7):
-        num = (num + _ERF_C[i]) * x
-        den = (den + _ERF_D[i]) * x
-    return np.exp(-x * x) * (num + _ERF_C[7]) / (den + _ERF_D[7])
+        num += _ERF_C[i]
+        num *= x
+        den += _ERF_D[i]
+        den *= x
+    e = x * x
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num += _ERF_C[7]
+    e *= num
+    den += _ERF_D[7]
+    e /= den
+    return e
 
 
 def _erfc_large(x: np.ndarray) -> np.ndarray:
     # x > 4:  erfc(x) = exp(-x^2)/x * (1/sqrt(pi) - P(1/x^2)/Q(1/x^2)/x^2)
-    y = 1.0 / (x * x)
-    num = _ERF_P[5] * y
-    den = y
-    for i in range(4):
-        num = (num + _ERF_P[i]) * y
-        den = (den + _ERF_Q[i]) * y
-    r = y * (num + _ERF_P[4]) / (den + _ERF_Q[4])
-    with np.errstate(under="ignore"):
-        return np.exp(-x * x) * (_INV_SQRT_PI - r) / x
+    # exp(-x^2) underflows from x = 26.6; past x = 2**512 x^2 overflows to
+    # inf, so 1/x^2 and exp(-x^2) are 0, and so is erfc(x) rounded
+    with np.errstate(over="ignore", under="ignore"):
+        xx = x * x
+        y = 1.0 / xx
+        num = _ERF_P[5] * y
+        den = y.copy()
+        for i in range(4):
+            num += _ERF_P[i]
+            num *= y
+            den += _ERF_Q[i]
+            den *= y
+        num += _ERF_P[4]
+        num *= y
+        den += _ERF_Q[4]
+        num /= den
+        np.subtract(_INV_SQRT_PI, num, out=num)
+        np.negative(xx, out=xx)
+        np.exp(xx, out=xx)
+        xx *= num
+        xx /= x
+    return xx
 
 
 def _erfc_positive(x: np.ndarray) -> np.ndarray:
-    """erfc on x >= 0 without cancellation."""
-    out = np.empty_like(x)
-    small = x <= 0.46875
-    large = x > 4.0
-    mid = ~small & ~large
-    if small.any():
-        out[small] = 1.0 - _erf_small(x[small])
-    if mid.any():
-        out[mid] = _erfc_mid(x[mid])
-    if large.any():
-        out[large] = _erfc_large(x[large])
-    return out
+    """erfc on x >= 0 without cancellation; NaN stays NaN."""
+    flat = x.ravel()
+    # the mid regime over every value: past it, x**8 overflows to inf / inf
+    # and exp(-x*x) underflows, on values the other regimes overwrite
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out = _erfc_mid(flat)
+    small = np.flatnonzero(flat <= 0.46875)
+    if small.size:
+        out[small] = 1.0 - _erf_small(flat[small])
+    large = np.flatnonzero(flat > 4.0)
+    if large.size:
+        out[large] = _erfc_large(flat[large])
+    return out.reshape(x.shape)
 
 
 def _as_float_array(x) -> tuple[np.ndarray, bool]:
@@ -247,8 +285,18 @@ _PPND_F = (
 def _poly(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
     out = np.full_like(r, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        out = out * r + c
+        out *= r
+        out += c
     return out
+
+
+def _rational(num: np.ndarray, den: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    """num / (1 + r Q(r)), in place in num; Q has the coefficients den."""
+    q = _poly(den, r)
+    q *= r
+    q += 1.0
+    num /= q
+    return num
 
 
 def normal_quantile(p):
@@ -257,33 +305,35 @@ def normal_quantile(p):
     Raises ValueError on p outside the open interval.
     """
     arr, scalar = _as_float_array(p)
-    arr = np.atleast_1d(arr)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
         raise ValueError("normal_quantile requires probabilities strictly inside (0, 1)")
-    q = arr - 0.5
-    out = np.empty_like(arr)
-
-    central = np.abs(q) <= 0.425
-    if central.any():
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND_A, r) / (1.0 + r * _poly(_PPND_B, r))
-    # tails
-    t = ~central
-    if t.any():
-        qt = q[t]
-        r = np.where(qt < 0.0, arr[t], 1.0 - arr[t])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if near.any():
-            rn = r[near] - 1.6
-            val[near] = _poly(_PPND_C, rn) / (1.0 + rn * _poly(_PPND_D, rn))
-        far = ~near
-        if far.any():
+    flat = arr.ravel()
+    q = flat - 0.5
+    # the central rational over every value: |q| < 1/2, so r lies in
+    # (-0.0694, 0.1806] and nothing overflows on the tail values it overwrites
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    out = _poly(_PPND_A, r)
+    out *= q
+    out = _rational(out, _PPND_B, r)
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        lower = q[tails] < 0.0
+        pt = flat[tails]
+        r = np.where(lower, pt, 1.0 - pt)
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        # the near tail over every tail value (r < 27.3), then the far tail
+        rn = r - 1.6
+        val = _rational(_poly(_PPND_C, rn), _PPND_D, rn)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
             rf = r[far] - 5.0
-            val[far] = _poly(_PPND_E, rf) / (1.0 + rf * _poly(_PPND_F, rf))
-        out[t] = np.where(qt < 0.0, -val, val)
-    return float(out[0]) if scalar else out
+            val[far] = _rational(_poly(_PPND_E, rf), _PPND_F, rf)
+        np.negative(val, out=val, where=lower)
+        out[tails] = val
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def chi2_1_sf(x):
@@ -293,7 +343,7 @@ def chi2_1_sf(x):
     """
     arr, scalar = _as_float_array(x)
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not (arr >= 0.0).all():  # NaN fails it
         raise ValueError("chi2_1_sf requires x >= 0")
     out = erfc(np.sqrt(arr / 2.0))
     out = np.atleast_1d(out)

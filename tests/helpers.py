@@ -8,7 +8,10 @@ Maclaurin series; the least-squares reference fits one matrix with
 unstacked numpy calls; the model reference draws one trial from its own
 Generator, column by column; the dual-solve reference solves one vector
 with scalar Python control flow; the AR reference runs one row at a time
-with a shifting list of lags.
+with a shifting list of lags; the erfc and normal-quantile references
+evaluate each regime on a boolean-masked gather with allocating Horner
+steps, as the regime-per-pass functions in numerics must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from entropygof import numerics as nm
 from entropygof.maxent import MaxEntSolution
 from entropygof.sampling import sample_using, uniform_open01
 
@@ -257,3 +261,95 @@ def random_feasible_g(rng: np.random.Generator, n: int) -> np.ndarray:
         g = g - g.mean() + rng.uniform(-0.05, 0.05)
         if g.min() < -1e-3 and g.max() > 1e-3:
             return g
+
+
+def _poly_reference(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    out = np.full_like(r, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = out * r + c
+    return out
+
+
+def _erf_small_reference(x: np.ndarray) -> np.ndarray:
+    y = x * x
+    num = nm._ERF_A[4] * y
+    den = y
+    for i in range(3):
+        num = (num + nm._ERF_A[i]) * y
+        den = (den + nm._ERF_B[i]) * y
+    return x * (num + nm._ERF_A[3]) / (den + nm._ERF_B[3])
+
+
+def _erfc_mid_reference(x: np.ndarray) -> np.ndarray:
+    num = nm._ERF_C[8] * x
+    den = x
+    for i in range(7):
+        num = (num + nm._ERF_C[i]) * x
+        den = (den + nm._ERF_D[i]) * x
+    return np.exp(-x * x) * (num + nm._ERF_C[7]) / (den + nm._ERF_D[7])
+
+
+def _erfc_large_reference(x: np.ndarray) -> np.ndarray:
+    y = 1.0 / (x * x)
+    num = nm._ERF_P[5] * y
+    den = y
+    for i in range(4):
+        num = (num + nm._ERF_P[i]) * y
+        den = (den + nm._ERF_Q[i]) * y
+    r = y * (num + nm._ERF_P[4]) / (den + nm._ERF_Q[4])
+    with np.errstate(under="ignore"):
+        return np.exp(-x * x) * (nm._INV_SQRT_PI - r) / x
+
+
+def erfc_reference(x):
+    """erfc with each Cody regime evaluated on its own masked gather, by
+    the algorithm whose bytes numerics.erfc must reproduce."""
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    a = np.abs(arr)
+    pos = np.empty_like(a)
+    small = a <= 0.46875
+    large = a > 4.0
+    mid = ~small & ~large
+    if small.any():
+        pos[small] = 1.0 - _erf_small_reference(a[small])
+    if mid.any():
+        pos[mid] = _erfc_mid_reference(a[mid])
+    if large.any():
+        pos[large] = _erfc_large_reference(a[large])
+    out = np.where(arr >= 0.0, pos, 2.0 - pos)
+    return float(out[0]) if scalar else out
+
+
+def normal_quantile_reference(p):
+    """AS 241 with the central and the two tail regimes each evaluated on
+    its own masked gather, by the algorithm whose bytes
+    numerics.normal_quantile must reproduce."""
+    arr = np.asarray(p, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise ValueError("normal_quantile requires probabilities strictly inside (0, 1)")
+    q = arr - 0.5
+    out = np.empty_like(arr)
+    central = np.abs(q) <= 0.425
+    if central.any():
+        r = 0.180625 - q[central] * q[central]
+        out[central] = q[central] * _poly_reference(nm._PPND_A, r) / (1.0 + r * _poly_reference(nm._PPND_B, r))
+    t = ~central
+    if t.any():
+        qt = q[t]
+        r = np.where(qt < 0.0, arr[t], 1.0 - arr[t])
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        val = np.empty_like(r)
+        if near.any():
+            rn = r[near] - 1.6
+            val[near] = _poly_reference(nm._PPND_C, rn) / (1.0 + rn * _poly_reference(nm._PPND_D, rn))
+        far = ~near
+        if far.any():
+            rf = r[far] - 5.0
+            val[far] = _poly_reference(nm._PPND_E, rf) / (1.0 + rf * _poly_reference(nm._PPND_F, rf))
+        out[t] = np.where(qt < 0.0, -val, val)
+    return float(out[0]) if scalar else out

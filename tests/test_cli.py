@@ -239,6 +239,15 @@ class TestCmdCalibrate:
         assert "n > 2" in err
         assert not cache.exists()
 
+    def test_alpha_one_is_usage_error(self, tmp_path, capsys):
+        # alpha = 1 would make every residual distance critical at 0
+        cache = tmp_path / "cal.txt"
+        argv = ["calibrate", "--n", "50", "--alpha", "1", "--trials", "1000", "--cache", str(cache)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "alpha must lie in (0, 1)" in err
+        assert not cache.exists()
+
 
 class TestCmdTables:
     def test_stdout_with_reference_column(self, capsys):

@@ -188,6 +188,7 @@ class TestLilliefors:
         [
             (50, 0.05, 999, "trials"),
             (50, 0.0, 1000, "alpha"),
+            (50, 1.0, 1000, "alpha"),
             (50, 1.5, 1000, "alpha"),
             (2, 0.05, 1000, "n > 2"),
             (0, 0.05, 1000, "n > 2"),
@@ -196,9 +197,6 @@ class TestLilliefors:
     def test_inputs_checked_before_cache_read(self, n, alpha, trials, match):
         with pytest.raises(ValueError, match=match):
             ks.lilliefors_critical(self.model, n, alpha, trials, 1, _NoCache())
-
-    def test_alpha_one_degenerate(self):
-        assert ks.lilliefors_critical(self.model, 50, 1.0, 1000, 1) == 0.0
 
     def test_deterministic(self):
         a = ks.lilliefors_critical(self.model, 60, 0.05, 1500, 9)

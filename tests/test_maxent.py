@@ -99,7 +99,7 @@ class TestSolve:
         for _ in range(20):
             g = random_feasible_g(rng, 8)
             lams = np.linspace(-4.0, 4.0, 41)
-            means = [_tilt(g, la)[2] for la in lams]
+            means = [_tilt(g, la, g * g, g.min(), g.max())[2] for la in lams]
             assert np.all(np.diff(means) < 0.0)
 
     def test_scale_covariance(self):
@@ -187,6 +187,23 @@ class TestBlock:
                 assert type(getattr(vector, field)) is float
                 assert self._bits(getattr(vector, field)) == self._bits(getattr(ref, field)), field
                 assert self._bits(getattr(single, field)) == self._bits([getattr(ref, field)]), field
+
+    def test_tied_extremes_both_signs(self):
+        # the exponent max is taken from each row's extremes, here tied and
+        # at lambdas of both signs
+        base = np.array([-1.0, 0.2, -1.0, 2.0, 0.5, -1.0, 2.0])
+        g = np.array([base, -base, base - 0.3, 0.1 - base])
+        block = solve_maxent(g)
+        references = [solve_maxent_reference(row) for row in g]
+        assert block.converged and min(block.lam) < 0.0 < max(block.lam)
+        for j, ref in enumerate(references):
+            for field in ("statistic", "lam", "log_partition", "residual", "weights"):
+                assert self._bits(getattr(block, field)[j]) == self._bits(getattr(ref, field)), field
+        for row in g:
+            for lam in (-3.0, -1e-300, 1e-300, 0.7, 2.0**600):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = _tilt(row, lam, row * row, row.min(), row.max())[1]
+                    assert self._bits(m) == self._bits((-lam * row).max())
 
     def test_mixed_block(self):
         # a capped row next to rows that finish at once

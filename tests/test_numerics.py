@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entropygof import numerics as nm
-from helpers import erf_series, normal_cdf_series, quantile_bisect
+from helpers import erf_series, erfc_reference, normal_cdf_series, normal_quantile_reference, quantile_bisect
 
 # oracle values frozen from 40-digit evaluation of the stated closed forms
 ERF_INV_SQRT2 = 0.6826894921370859
@@ -71,8 +71,8 @@ class TestNormal:
         assert nm.normal_quantile(0.975) == pytest.approx(quantile_bisect(0.975), abs=1e-9)
 
     def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.1, math.nan):
-            with pytest.raises(ValueError):
+        for p in (0.0, -0.0, 1.0, -0.1, 1.1, math.nan, math.inf, [[0.5, 0.2], [0.7, math.nan]]):
+            with pytest.raises(ValueError, match="strictly inside"):
                 nm.normal_quantile(p)
 
     def test_roundtrip_grid(self):
@@ -87,6 +87,91 @@ class TestNormal:
             assert nm.normal_cdf(q) == pytest.approx(p, rel=1e-8)
 
 
+def _ulps(points, lo, hi) -> list[float]:
+    """Each point with its neighbours one ulp toward lo and toward hi."""
+    return [v for x in points for v in (math.nextafter(x, lo), x, math.nextafter(x, hi))]
+
+
+# the regime bounds of AS 241 (|p - 1/2| = 0.425, r = 5) and the extremes of (0, 1)
+P_EDGES = np.array(
+    _ulps((0.075, 0.925, 0.5, math.exp(-25.0), -math.expm1(-25.0)), 0.0, 1.0)
+    + [2.0**-1074, 2.0**-1073, 1.0 - 2.0**-53, 1.0 - 2.0**-52]
+)
+# the regime bounds of erfc, signed zeros, the underflow of exp(-x^2), and
+# past x = 2**512, where x^2 overflows
+X_EDGES = np.array(
+    _ulps((0.46875, 4.0, 2.0**512, 1e300), 0.0, math.inf)
+    + list(np.linspace(26.0, 27.5, 31))
+    + [0.0, math.inf, 5e-324, 1.7976931348623157e308]
+)
+X_EDGES = np.concatenate([X_EDGES, -X_EDGES])
+
+# (), (n,), (B, n), and the (B, dof + 1, n) uniforms of a t(dof) block
+SHAPES = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(1, 60)),
+    st.tuples(st.integers(1, 12), st.integers(1, 60)),
+    st.tuples(st.integers(1, 5), st.integers(3, 4), st.integers(1, 30)),
+)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _mixed(rng: np.random.Generator, shape, body: np.ndarray, edges: np.ndarray, edge_share: float) -> np.ndarray:
+    return np.where(rng.random(shape) < edge_share, rng.choice(edges, size=shape), body)
+
+
+class TestRegimeOracles:
+    """normal_quantile and erfc evaluate their regimes one pass each, and
+    their bytes equal those of the masked-gather references."""
+
+    @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1), edge_share=st.sampled_from((0.0, 0.2, 1.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_normal_quantile_bytes(self, shape, seed, edge_share):
+        rng = np.random.default_rng(seed)
+        # uniforms, with a share pushed into the deep tails on either side
+        u = np.maximum(rng.random(shape), 2.0**-60)
+        deep = np.where(
+            u < 0.5, 10.0 ** -rng.uniform(1.0, 300.0, shape), 1.0 - 2.0 ** -rng.uniform(4.0, 53.0, shape)
+        )
+        body = np.where(rng.random(shape) < 0.2, deep, u)
+        p = _mixed(rng, shape, body, P_EDGES, edge_share)
+        got, want = nm.normal_quantile(p), normal_quantile_reference(p)
+        assert np.shape(got) == np.shape(p)
+        assert type(got) is (float if shape == () else np.ndarray)
+        assert _bits(got).tobytes() == _bits(want).tobytes()
+
+    @given(st.floats(min_value=2.0**-1074, max_value=1.0 - 2.0**-53))
+    def test_normal_quantile_scalar_bytes(self, p):
+        assert _bits(nm.normal_quantile(p)) == _bits(normal_quantile_reference(p))
+
+    @given(shape=SHAPES, seed=st.integers(0, 2**32 - 1), edge_share=st.sampled_from((0.0, 0.2, 1.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_erfc_bytes(self, shape, seed, edge_share):
+        rng = np.random.default_rng(seed)
+        body = rng.standard_normal(shape) * rng.choice((0.3, 1.0, 4.0, 30.0), size=shape)
+        x = _mixed(rng, shape, body, X_EDGES, edge_share)
+        got = nm.erfc(x)
+        # the reference squares x unguarded, which overflows past 2**512
+        with np.errstate(over="ignore"):
+            want = erfc_reference(x)
+        assert np.shape(got) == np.shape(x)
+        assert _bits(got).tobytes() == _bits(want).tobytes()
+
+    @given(st.floats(allow_nan=False))
+    def test_erfc_scalar_bytes(self, x):
+        with np.errstate(over="ignore"):
+            want = erfc_reference(x)
+        assert _bits(nm.erfc(x)) == _bits(want)
+
+    def test_erfc_nan_stays_nan(self):
+        out = nm.erfc(np.array([[math.nan, 1.0], [-math.nan, 5.0]]))
+        assert np.isnan(out[:, 0]).all() and not np.isnan(out[:, 1]).any()
+        assert math.isnan(nm.erfc(math.nan)) and math.isnan(nm.normal_cdf(math.nan))
+
+
 class TestChiSquare1:
     def test_critical_005(self):
         assert nm.chi2_1_critical(0.05) == pytest.approx(3.841459, abs=1e-5)
@@ -98,14 +183,16 @@ class TestChiSquare1:
 
     def test_sf_zero(self):
         assert nm.chi2_1_sf(0.0) == 1.0
+        assert nm.chi2_1_sf(-0.0) == 1.0
 
     def test_sf_critical_inverse(self):
         for alpha in (0.01, 0.05, 0.1, 0.5, 0.9):
             assert nm.chi2_1_sf(nm.chi2_1_critical(alpha)) == pytest.approx(alpha, abs=1e-10)
 
     def test_domains(self):
-        with pytest.raises(ValueError):
-            nm.chi2_1_sf(-1.0)
+        for x in (-1.0, math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="x >= 0"):
+                nm.chi2_1_sf(x)
         for alpha in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError):
                 nm.chi2_1_critical(alpha)
