@@ -30,6 +30,7 @@ from .regression import (
     ratio_transform,
     simulate_model,
     standardized_residuals,
+    trial_words,
 )
 from .sampling import (
     Cauchy,
@@ -45,6 +46,7 @@ from .sampling import (
     sample,
     seed_blocks,
     spec_label,
+    uniform_words,
 )
 
 __all__ = [
@@ -234,28 +236,33 @@ def _block_statistics(statistic: Callable, context, alt, n: int, seeds: list[See
     """The statistics of one block of trials; NaN marks a degenerate trial.
 
     A degenerate trial spoils its block's call, so that block runs again
-    one trial at a time: each degenerate trial is one NaN, whatever the
-    block size.
+    as two halves, down to single trials: each degenerate trial is one
+    NaN, whatever the block size, at about 2 log2 B calls per such trial.
     """
     try:
         return statistic(context, alt, n, seeds)
     except DegenerateTrialError:
         if len(seeds) == 1:
             return np.full(1, np.nan)
-        return np.concatenate([_block_statistics(statistic, context, alt, n, [seed]) for seed in seeds])
+        half = len(seeds) // 2
+        halves = (seeds[:half], seeds[half:])
+        return np.concatenate([_block_statistics(statistic, context, alt, n, part) for part in halves])
 
 
 def _run_chunk(payload) -> np.ndarray:
     """The statistics of the trials on streams first, ..., stop - 1, in
     trial order; worker-safe.
 
-    The range runs in blocks (sampling.seed_blocks); trial t still draws
-    from its own stream, so the statistics do not depend on the blocks.
+    The range runs in blocks sized by the uniform words a trial draws
+    (sampling.seed_blocks); trial t still draws from its own stream, so
+    the statistics do not depend on the blocks.
     """
     test, alt, n, master_seed, first, stop, context = payload
-    statistic = TEST_KINDS[test].statistic
-    blocks = seed_blocks(master_seed, first, stop, n)
-    return np.concatenate([_block_statistics(statistic, context, alt, n, seeds) for seeds in blocks])
+    kind = TEST_KINDS[test]
+    # the regression kinds' context is the model, whose design is drawn first
+    words = trial_words(context, n, alt) if kind.regression else uniform_words(alt, n)
+    blocks = seed_blocks(master_seed, first, stop, words)
+    return np.concatenate([_block_statistics(kind.statistic, context, alt, n, seeds) for seeds in blocks])
 
 
 def run_power_study(

@@ -160,7 +160,8 @@ class CalibrationCache:
 
     @staticmethod
     def _key(n: int, alpha: float, design_hash: str, trials: int, master_seed: int) -> tuple:
-        return (int(n), format(float(alpha), ".10g"), design_hash, int(trials), int(master_seed))
+        # alphas that pick the same order statistic share a critical
+        return (int(n), _critical_rank(alpha, trials), design_hash, int(trials), int(master_seed))
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -177,7 +178,7 @@ class CalibrationCache:
             try:
                 key = self._key(int(n), float(alpha), design_hash, int(trials), int(master_seed))
                 self._entries[key] = float(critical)
-            except ValueError:
+            except (ValueError, OverflowError):
                 continue  # a malformed record is recalibrated, never used
 
     def get(self, n: int, alpha: float, design_hash: str, trials: int, master_seed: int) -> float | None:
@@ -203,10 +204,15 @@ class CalibrationCache:
                 # own and does not turn the fragment into a loadable record
                 kept = kept[: kept.rfind(b"\n") + 1]
                 fh.truncate(len(kept))
-            record = f"{n},{format(float(alpha), '.10g')},{design_hash},{trials},{master_seed},{critical!r}\n"
+            record = f"{n},{float(alpha)!r},{design_hash},{trials},{master_seed},{critical!r}\n"
             if not kept:
                 record = "# n,alpha,design_hash,trials,master_seed,critical\n" + record
             fh.write(record.encode())
+
+
+def _critical_rank(alpha: float, trials: int) -> int:
+    """The order statistic, ceil((1 - alpha) * trials), that calibrates alpha."""
+    return math.ceil((1.0 - alpha) * trials)
 
 
 def design_hash(model: "LinearModelSpec") -> str:
@@ -235,7 +241,7 @@ def lilliefors_critical(
     entries are portable across runs.  The trials run in blocks
     (sampling.seed_blocks), which never changes a draw.
     """
-    from .regression import null_trial_ks_distance
+    from .regression import null_trial_ks_distance, trial_words
 
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
@@ -249,11 +255,10 @@ def lilliefors_critical(
         if hit is not None:
             return hit
     first = CAL_STREAM_BASE + n * (1 << 32)
-    distances = np.concatenate(
-        [null_trial_ks_distance(model, n, seeds) for seeds in seed_blocks(master_seed, first, first + trials, n)]
-    )
+    blocks = seed_blocks(master_seed, first, first + trials, trial_words(model, n, model.null_errors()))
+    distances = np.concatenate([null_trial_ks_distance(model, n, seeds) for seeds in blocks])
     distances.sort()
-    rank = math.ceil((1.0 - alpha) * trials)  # 1 <= rank <= trials, as 0 < alpha < 1
+    rank = _critical_rank(alpha, trials)  # 1 <= rank <= trials, as 0 < alpha < 1
     critical = float(distances[rank - 1])
     if cache is not None:
         cache.put(n, alpha, dh, trials, master_seed, critical)

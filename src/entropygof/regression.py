@@ -25,7 +25,7 @@ from .kstest import ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
 from .results import TestResult, chi2_1_decision
-from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_shape
+from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_words
 
 __all__ = [
     "DEFAULT_MODEL",
@@ -39,6 +39,7 @@ __all__ = [
     "run_regression_et",
     "run_regression_ks",
     "simulate_model",
+    "trial_words",
     "null_trial_ks_distance",
 ]
 
@@ -199,6 +200,12 @@ def run_regression_ks(y, X, critical: float) -> TestResult:
     )
 
 
+def trial_words(model: LinearModelSpec, n: int, error_process: DistributionSpec | None = None) -> int:
+    """The uniform words one simulate_model trial draws: (k - 1) * n for
+    the design, then those of the errors."""
+    return (model.k - 1) * n + uniform_words(error_process or model.error_process, n)
+
+
 def simulate_model(
     model: LinearModelSpec,
     n: int,
@@ -220,7 +227,7 @@ def simulate_model(
     single = isinstance(seed, SeedSpec)
     seeds = [seed] if single else seed
     d = (model.k - 1) * n
-    u = uniform_block(seeds, d + math.prod(uniform_shape(errors, n)))
+    u = uniform_block(seeds, trial_words(model, n, errors))
     X = np.ones((len(seeds), n, model.k))
     X[:, :, 1:] = u[:, :d].reshape(len(seeds), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])

@@ -38,6 +38,7 @@ __all__ = [
     "uniform_block",
     "uniform_open01",
     "uniform_shape",
+    "uniform_words",
     "cdf",
     "centered_lognormal_params",
     "spec_label",
@@ -45,9 +46,11 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64 - 1
-# values per block of trials (B = _BLOCK_ELEMENTS // n trials of n values);
-# larger blocks run little faster and raise peak memory (README, Layout)
-_BLOCK_ELEMENTS = 4096
+# uniform words (64 bits each) per block of trials: a block holds
+# max(1, _BLOCK_WORDS // w) trials that draw w words each.  The budget
+# bounds the draw's temporaries, which set peak memory, while a wide block
+# shares numpy's fixed cost per call among many rows (README, Layout)
+_BLOCK_WORDS = 16384
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,11 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
-def seed_blocks(master_seed: int, first: int, stop: int, n: int) -> Iterator[list[SeedSpec]]:
+def seed_blocks(master_seed: int, first: int, stop: int, words: int) -> Iterator[list[SeedSpec]]:
     """The streams first, ..., stop - 1 of master_seed, in blocks of
-    max(1, _BLOCK_ELEMENTS // n) seeds for trials of n values each."""
-    block = max(1, _BLOCK_ELEMENTS // n)
+    max(1, _BLOCK_WORDS // words) seeds for trials that each draw `words`
+    uniform words (uniform_words, regression.trial_words)."""
+    block = max(1, _BLOCK_WORDS // words)
     for lo in range(first, stop, block):
         yield [SeedSpec(master_seed, t) for t in range(lo, min(lo + block, stop))]
 
@@ -326,6 +330,11 @@ def uniform_shape(spec: DistributionSpec, n: int) -> tuple[int, ...]:
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
+def uniform_words(spec: DistributionSpec, n: int) -> int:
+    """The 64-bit words that n values of spec draw from their stream."""
+    return math.prod(uniform_shape(spec, n))
+
+
 def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """Values of spec from uniforms of shape uniform_shape(spec, n); a
     leading axis of u stacks trials, and each trial's values are those of
@@ -384,7 +393,7 @@ def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) 
     own stream.
     """
     single = isinstance(seed, SeedSpec)
-    u = uniform_block([seed] if single else seed, math.prod(uniform_shape(spec, n)))
+    u = uniform_block([seed] if single else seed, uniform_words(spec, n))
     x = sample_using(spec, n, u)
     return x[0] if single else x
 

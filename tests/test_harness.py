@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import entropygof.harness as hz
+import entropygof.kstest as ks
 import entropygof.sampling as sampling
 from entropygof.kstest import run_ks_test
 from entropygof.moments import null_constraint, run_et_test, standardize
@@ -27,6 +28,7 @@ from entropygof.regression import (
     simulate_model,
 )
 from entropygof.sampling import ARProcess, Cauchy, Exponential, Normal, SeedSpec, StudentT, Uniform, cdf, sample
+from entropygof.tables import table_config
 
 
 def small_config(**kw):
@@ -241,9 +243,25 @@ class TestRunPowerStudy:
         monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=flaky))
         cfg = small_config(test="ks-simple", trials=1000, sample_sizes=(25,))
         blocked = hz.run_power_study(cfg).rows
-        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_WORDS", 1)
         assert hz.run_power_study(cfg).rows == blocked
         assert [r.failures for r in blocked] == [1, 1]
+
+    def test_spoiled_block_runs_again_in_halves(self):
+        calls = []
+
+        def statistic(context, alt, n, seeds):
+            calls.append(len(seeds))
+            if any(seed.stream_id == 300 for seed in seeds):
+                raise DegenerateTrialError("flat design")
+            return np.array([float(seed.stream_id) for seed in seeds])
+
+        seeds = [SeedSpec(1, t) for t in range(655)]
+        stats = hz._block_statistics(statistic, None, Normal(), 25, seeds)
+        assert np.flatnonzero(np.isnan(stats)).tolist() == [300]
+        assert np.delete(stats, 300).tolist() == [t for t in range(655) if t != 300]
+        # one call per block, then two per halving: 21 here, where single trials took 656
+        assert len(calls) <= 1 + 2 * math.ceil(math.log2(len(seeds)))
 
     @pytest.mark.parametrize("test", ["et-simple", "ks-simple", "et-regression", "ks-regression"])
     def test_block_size_does_not_change_rows(self, monkeypatch, test):
@@ -254,7 +272,7 @@ class TestRunPowerStudy:
             kw = dict(null_spec=LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0), lilliefors_trials=1000)
         cfg = small_config(test=test, alternatives=alternatives, sample_sizes=(25, 100), trials=300, **kw)
         blocked = hz.run_power_study(cfg).rows
-        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_WORDS", 1)
         assert hz.run_power_study(cfg).rows == blocked
 
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
@@ -296,7 +314,7 @@ class TestRunPowerStudy:
         )
         blocked = hz.run_power_study(cfg).rows
         assert [r.failures for r in blocked] == [1]
-        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_WORDS", 1)
         assert hz.run_power_study(cfg).rows == blocked
 
     def test_progress_hook(self):
@@ -304,6 +322,51 @@ class TestRunPowerStudy:
         hz.run_power_study(small_config(sample_sizes=(25,)), progress=seen.append)
         assert len(seen) == 2
         assert all(isinstance(r, hz.PowerRow) for r in seen)
+
+
+def _block_lengths(monkeypatch, test, alt, n, context, trials=1000):
+    """The trials per block of one chunk, seen by a stub statistic."""
+    lengths = []
+
+    def stub(context, alt, n, seeds):
+        lengths.append(len(seeds))
+        return np.zeros(len(seeds))
+
+    monkeypatch.setitem(hz.TEST_KINDS, test, replace(hz.TEST_KINDS[test], statistic=stub))
+    hz._run_chunk((test, alt, n, 1, 0, trials, context))
+    return lengths
+
+
+class TestBlockWords:
+    @pytest.mark.parametrize("n", [25, 100, 1000])
+    def test_blocks_sized_by_words_drawn(self, monkeypatch, n):
+        # a t(3) trial draws 4 n words, a normal trial n
+        normal = max(_block_lengths(monkeypatch, "ks-simple", Normal(), n, None))
+        t3 = max(_block_lengths(monkeypatch, "ks-simple", StudentT(3), n, None))
+        assert 4 * t3 <= normal
+        assert normal * n <= sampling._BLOCK_WORDS and t3 * 4 * n <= sampling._BLOCK_WORDS
+
+    def test_calibration_blocks_count_k_n_words(self, monkeypatch):
+        seen = []
+        blocks = ks.seed_blocks
+
+        def recording(master_seed, first, stop, words):
+            seen.append(words)
+            return blocks(master_seed, first, stop, words)
+
+        monkeypatch.setattr(ks, "seed_blocks", recording)
+        ks.lilliefors_critical(LinearModelSpec(beta=(1.0, 5.0, -2.0), sigma2=4.0), 40, 0.05, 1000, 9)
+        assert seen == [3 * 40]
+
+    @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
+    def test_preset_ar_paths(self, monkeypatch, test):
+        # the a5/a6 AR alternatives step over time at n <= 100 and run row by row above
+        cfg = table_config("a5" if test == "et-regression" else "a6")
+        for alt in cfg.alternatives:
+            if isinstance(alt, ARProcess) and not alt.is_random_walk:
+                for n in cfg.sample_sizes:
+                    widest = max(_block_lengths(monkeypatch, test, alt, n, cfg.null_spec))
+                    assert (widest >= sampling._AR_STEP_ROWS) == (n <= 100), (alt, n, widest)
 
 
 _PIN_MODEL = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)

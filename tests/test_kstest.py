@@ -211,9 +211,21 @@ class TestLilliefors:
         distances = np.sort(null_trial_ks_distance(self.model, n, seeds))
         assert ks.lilliefors_critical(self.model, n, 0.05, trials, 9) == distances[949]
 
+    @pytest.mark.parametrize("warm, other", [(0.05, 0.049999999999), (0.049999999999, 0.05)])
+    def test_cache_keyed_by_rank(self, tmp_path, warm, other):
+        # at 1000 trials the two alphas take order statistics 950 and 951,
+        # though both format as 0.05 at 10 significant digits
+        path = tmp_path / "cal.txt"
+        ks.lilliefors_critical(self.model, 30, warm, 1000, 9, ks.CalibrationCache(path))
+        cold = ks.lilliefors_critical(self.model, 30, other, 1000, 9)
+        assert cold != ks.lilliefors_critical(self.model, 30, warm, 1000, 9)
+        assert ks.lilliefors_critical(self.model, 30, other, 1000, 9, ks.CalibrationCache(path)) == cold
+        assert ks.CalibrationCache(path).get(30, other, ks.design_hash(self.model), 1000, 9) == cold
+        assert f"30,{other!r}," in path.read_text()
+
     def test_block_size_does_not_change_value(self, monkeypatch):
         blocked = ks.lilliefors_critical(self.model, 60, 0.05, 1000, 9)
-        monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(sampling, "_BLOCK_WORDS", 1)
         assert ks.lilliefors_critical(self.model, 60, 0.05, 1000, 9) == blocked
 
     def test_below_simple_critical(self):
@@ -254,7 +266,7 @@ class TestCalibrationCache:
 
     def test_malformed_record_skipped(self, tmp_path):
         path = tmp_path / "cal.txt"
-        path.write_text("# header\n50,0.05,abc,1000,1,0.1xyz\n100,0.05,abc,1000,7,0.08\n")
+        path.write_text("# header\n50,0.05,abc,1000,1,0.1xyz\n60,inf,abc,1000,1,0.1\n100,0.05,abc,1000,7,0.08\n")
         cache = ks.CalibrationCache(path)
         assert cache.get(50, 0.05, "abc", 1000, 1) is None
         assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08

@@ -233,6 +233,19 @@ class TestBlocks:
         u = sp.sample(innovation, rows * steps, sp.SeedSpec(seed)).reshape(rows, steps)
         assert sp._ar_recurse(rho, u).tobytes() == ar_recurse_reference(rho, u).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        first=st.integers(0, 2**63),
+        trials=st.integers(0, 3000),
+        words=st.integers(1, 3 * sp._BLOCK_WORDS),
+    )
+    def test_seed_blocks_cover_the_range_within_budget(self, first, trials, words):
+        blocks = list(sp.seed_blocks(7, first, first + trials, words))
+        assert [seed.stream_id for block in blocks for seed in block] == list(range(first, first + trials))
+        assert all(seed.master_seed == 7 for block in blocks for seed in block)
+        # only a single trial may draw more words than a block's budget
+        assert all(len(block) == 1 or len(block) * words <= sp._BLOCK_WORDS for block in blocks)
+
     def test_block_must_fit_the_spec(self):
         u = sp.uniform_block([sp.SeedSpec(3, 0), sp.SeedSpec(3, 1)], 10)
         with pytest.raises(ValueError):
