@@ -253,15 +253,15 @@ def _run_chunk(payload) -> np.ndarray:
     """The statistics of the trials on streams first, ..., stop - 1, in
     trial order; worker-safe.
 
-    The range runs in blocks sized by the uniform words a trial draws
-    (sampling.seed_blocks); trial t still draws from its own stream, so
-    the statistics do not depend on the blocks.
+    The range runs in blocks sized by the uniform words a trial draws and
+    by whether alt steps over time (sampling.seed_blocks); trial t still
+    draws from its own stream, so the statistics do not depend on the blocks.
     """
     test, alt, n, master_seed, first, stop, context = payload
     kind = TEST_KINDS[test]
     # the regression kinds' context is the model, whose design is drawn first
     words = trial_words(context, n, alt) if kind.regression else uniform_words(alt, n)
-    blocks = seed_blocks(master_seed, first, stop, words)
+    blocks = seed_blocks(master_seed, first, stop, words, alt)
     return np.concatenate([_block_statistics(kind.statistic, context, alt, n, seeds) for seeds in blocks])
 
 

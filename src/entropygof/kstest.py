@@ -216,8 +216,14 @@ def _critical_rank(alpha: float, trials: int) -> int:
 
 
 def design_hash(model: "LinearModelSpec") -> str:
-    """Stable id of the design-generation rule (criticals do not depend on beta/sigma2)."""
-    text = f"intercept+uniform01,k={len(model.beta)}"
+    """Stable id of the null model a critical is calibrated for: the design
+    rule (an intercept and k - 1 Uniform(0, 1) columns), beta and sigma2.
+
+    In exact arithmetic the residual KS distance does not depend on beta or
+    sigma2, but y = X beta + e and the residual scale round differently for
+    each, so the calibrated critical can differ in its last bits.
+    """
+    text = f"intercept+uniform01,k={len(model.beta)},beta={model.beta!r},sigma2={float(model.sigma2)!r}"
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
@@ -237,8 +243,9 @@ def lilliefors_critical(
     (regression.null_trial_ks_distance); the empirical (1 - alpha) quantile
     (ceil((1-alpha)*trials)-th order statistic) is returned.  Trial t draws
     from stream CAL_STREAM_BASE + n * 2**32 + t, so the value is a pure
-    function of (master_seed, n, alpha, trials, design rule) and cache
-    entries are portable across runs.  The trials run in blocks
+    function of (master_seed, n, the rank alpha picks, trials, and the
+    model: its design rule, beta and sigma2, as design_hash names them) and
+    cache entries are portable across runs.  The trials run in blocks
     (sampling.seed_blocks), which never changes a draw.
     """
     from .regression import null_trial_ks_distance, trial_words
@@ -255,7 +262,8 @@ def lilliefors_critical(
         if hit is not None:
             return hit
     first = CAL_STREAM_BASE + n * (1 << 32)
-    blocks = seed_blocks(master_seed, first, first + trials, trial_words(model, n, model.null_errors()))
+    errors = model.null_errors()
+    blocks = seed_blocks(master_seed, first, first + trials, trial_words(model, n, errors), errors)
     distances = np.concatenate([null_trial_ks_distance(model, n, seeds) for seeds in blocks])
     distances.sort()
     rank = _critical_rank(alpha, trials)  # 1 <= rank <= trials, as 0 < alpha < 1

@@ -47,7 +47,8 @@ __all__ = [
 
 _U64_MAX = 2**64 - 1
 # uniform words (64 bits each) per block of trials: a block holds
-# max(1, _BLOCK_WORDS // w) trials that draw w words each.  The budget
+# max(1, _BLOCK_WORDS // w) trials that draw w words each, with 8 times the
+# budget when their AR errors step over time (seed_blocks).  The budget
 # bounds the draw's temporaries, which set peak memory, while a wide block
 # shares numpy's fixed cost per call among many rows (README, Layout)
 _BLOCK_WORDS = 16384
@@ -75,11 +76,21 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
-def seed_blocks(master_seed: int, first: int, stop: int, words: int) -> Iterator[list[SeedSpec]]:
+def seed_blocks(
+    master_seed: int, first: int, stop: int, words: int, spec: DistributionSpec
+) -> Iterator[list[SeedSpec]]:
     """The streams first, ..., stop - 1 of master_seed, in blocks of
-    max(1, _BLOCK_WORDS // words) seeds for trials that each draw `words`
-    uniform words (uniform_words, regression.trial_words)."""
-    block = max(1, _BLOCK_WORDS // words)
+    max(1, budget // words) seeds for trials that each draw `words`
+    uniform words (uniform_words, regression.trial_words) and whose values,
+    or errors, follow spec.
+
+    The budget is _BLOCK_WORDS, or 8 times that when spec's AR recursion
+    steps over time (an ARProcess that is not a random walk): a block of at
+    least _AR_STEP_ROWS rows then steps at every preset n, and the draw's
+    temporaries stay within a few MB (README, Layout).
+    """
+    steps = isinstance(spec, ARProcess) and not spec.is_random_walk
+    block = max(1, (8 * _BLOCK_WORDS if steps else _BLOCK_WORDS) // words)
     for lo in range(first, stop, block):
         yield [SeedSpec(master_seed, t) for t in range(lo, min(lo + block, stop))]
 
@@ -263,7 +274,11 @@ DistributionSpec = Union[
 
 _AR_BURN_IN = 100
 # blocks of at least this many rows run the AR recursion one time step at a
-# time across all rows; narrower ones run it row by row (README, Layout)
+# time across all rows; narrower ones run it row by row.  seed_blocks gives
+# trials with such errors 8 times the word budget, so every full AR block is
+# this wide at the preset n; the row path serves a chunk's tail, a halved
+# spoiled block, a single trial and wider trials (n > 1998 at k = 2)
+# (README, Layout)
 _AR_STEP_ROWS = 32
 
 

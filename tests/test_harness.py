@@ -278,7 +278,8 @@ class TestRunPowerStudy:
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
     @pytest.mark.parametrize("rho, n", [((2.0,), 1000), ((1000.0,), 50)])
     def test_overflowing_error_process_named(self, test, rho, n):
-        # n = 1000 runs the AR recursion row by row, n = 50 time-stepped
+        # both sizes step the AR recursion over time (blocks of up to 62 rows
+        # at n = 1000); test_regression's test_overflow_names_innovation runs it row by row
         cfg = small_config(
             test=test,
             alternatives=(ARProcess(rho, Normal(0, 2)),),
@@ -350,23 +351,27 @@ class TestBlockWords:
         seen = []
         blocks = ks.seed_blocks
 
-        def recording(master_seed, first, stop, words):
-            seen.append(words)
-            return blocks(master_seed, first, stop, words)
+        def recording(master_seed, first, stop, words, spec):
+            seen.append((words, spec))
+            return blocks(master_seed, first, stop, words, spec)
 
         monkeypatch.setattr(ks, "seed_blocks", recording)
-        ks.lilliefors_critical(LinearModelSpec(beta=(1.0, 5.0, -2.0), sigma2=4.0), 40, 0.05, 1000, 9)
-        assert seen == [3 * 40]
+        model = LinearModelSpec(beta=(1.0, 5.0, -2.0), sigma2=4.0)
+        ks.lilliefors_critical(model, 40, 0.05, 1000, 9)
+        # calibration trials draw the null errors, so their blocks keep the plain budget
+        assert seen == [(3 * 40, model.null_errors())]
 
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
     def test_preset_ar_paths(self, monkeypatch, test):
-        # the a5/a6 AR alternatives step over time at n <= 100 and run row by row above
+        # every block of the a5/a6 stepping AR alternatives steps over time at
+        # every preset n; only a chunk's last block may be narrower
         cfg = table_config("a5" if test == "et-regression" else "a6")
-        for alt in cfg.alternatives:
-            if isinstance(alt, ARProcess) and not alt.is_random_walk:
-                for n in cfg.sample_sizes:
-                    widest = max(_block_lengths(monkeypatch, test, alt, n, cfg.null_spec))
-                    assert (widest >= sampling._AR_STEP_ROWS) == (n <= 100), (alt, n, widest)
+        stepping = [alt for alt in cfg.alternatives if isinstance(alt, ARProcess) and not alt.is_random_walk]
+        assert stepping
+        for alt in stepping:
+            for n in cfg.sample_sizes:
+                lengths = _block_lengths(monkeypatch, test, alt, n, cfg.null_spec)
+                assert len(lengths) > 1 and min(lengths[:-1]) >= sampling._AR_STEP_ROWS, (alt, n, lengths)
 
 
 _PIN_MODEL = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)

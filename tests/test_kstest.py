@@ -326,4 +326,14 @@ class TestCalibrationCache:
         m2 = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
         m3 = LinearModelSpec(beta=(1.0, 5.0, 2.0), sigma2=4.0)
         assert ks.design_hash(m2) != ks.design_hash(m3)
-        assert ks.design_hash(m2) == ks.design_hash(LinearModelSpec(beta=(0.0, 0.0), sigma2=1.0))
+        assert ks.design_hash(m2) != ks.design_hash(LinearModelSpec(beta=(0.0, 0.0), sigma2=1.0))
+        assert ks.design_hash(m2) == ks.design_hash(LinearModelSpec(beta=(1, 5), sigma2=4))
+
+    def test_cache_keyed_by_model(self, tmp_path):
+        # residuals of (2, 3; 4) and (1, 5; 4) round differently, so their
+        # criticals differ in the last bits though the design rule is the same
+        warm, other = (LinearModelSpec(beta=b, sigma2=4.0) for b in ((2.0, 3.0), (1.0, 5.0)))
+        cold = ks.lilliefors_critical(other, 50, 0.05, 2000, 123456789)
+        cache = ks.CalibrationCache(tmp_path / "cal.txt")
+        assert ks.lilliefors_critical(warm, 50, 0.05, 2000, 123456789, cache) != cold
+        assert ks.lilliefors_critical(other, 50, 0.05, 2000, 123456789, cache) == cold

@@ -237,14 +237,22 @@ class TestBlocks:
     @given(
         first=st.integers(0, 2**63),
         trials=st.integers(0, 3000),
-        words=st.integers(1, 3 * sp._BLOCK_WORDS),
+        words=st.integers(1, 3 * 8 * sp._BLOCK_WORDS),
+        spec=st.sampled_from(_MENU),
     )
-    def test_seed_blocks_cover_the_range_within_budget(self, first, trials, words):
-        blocks = list(sp.seed_blocks(7, first, first + trials, words))
+    def test_seed_blocks_cover_the_range_within_budget(self, first, trials, words, spec):
+        blocks = list(sp.seed_blocks(7, first, first + trials, words, spec))
         assert [seed.stream_id for block in blocks for seed in block] == list(range(first, first + trials))
         assert all(seed.master_seed == 7 for block in blocks for seed in block)
-        # only a single trial may draw more words than a block's budget
-        assert all(len(block) == 1 or len(block) * words <= sp._BLOCK_WORDS for block in blocks)
+        # a trial whose AR recursion steps over time gets 8 times the budget;
+        # only a single trial may draw more words than its block's budget
+        steps = isinstance(spec, sp.ARProcess) and not spec.is_random_walk
+        budget = 8 * sp._BLOCK_WORDS if steps else sp._BLOCK_WORDS
+        assert all(len(block) == 1 or len(block) * words <= budget for block in blocks)
+        assert all(len(block) == max(1, budget // words) for block in blocks[:-1])
+        if not steps:
+            # every other spec keeps the blocks of an iid spec
+            assert blocks == list(sp.seed_blocks(7, first, first + trials, words, sp.Normal()))
 
     def test_block_must_fit_the_spec(self):
         u = sp.uniform_block([sp.SeedSpec(3, 0), sp.SeedSpec(3, 1)], 10)
