@@ -2,9 +2,11 @@
 reduction, CSV/SVG emission, and a flat key-value config format.
 
 Trial t of row r (rows enumerate alternative-by-sample-size cells) always
-draws from stream r * 2**32 + t of the study's master seed, so results are
-bit-identical for any worker count, execution order and block size.  Calibration
-runs for the KS regression test use a disjoint stream range (see kstest).
+draws from stream sampling.first_stream(r) + t of the study's master seed,
+and the trials run in blocks named by their first stream and a count
+(sampling.seed_blocks), so results are bit-identical for any worker count,
+execution order and block size.  Calibration runs for the KS regression
+test use a disjoint stream range (first_stream, kstest).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .sampling import (
     StudentT,
     Uniform,
     cdf,
+    first_stream,
     parse_distribution,
     sample,
     seed_blocks,
@@ -62,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 123456789
-_ROW_STRIDE = 1 << 32
 
 CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
 
@@ -73,8 +75,9 @@ class TestKind:
 
     context(config) runs once per study and returns what every trial reads
     (it travels to the workers inside each chunk); statistic(context, alt,
-    n, seeds) runs the block of trials named by a list of seeds and returns
-    one statistic per trial; critical(config, cache, n) is the critical
+    n, seed, trials) runs the block of trials on streams seed.stream_id,
+    ..., seed.stream_id + trials - 1 of seed.master_seed and returns one
+    statistic per trial; critical(config, cache, n) is the critical
     value at sample size n, taken once per n before the first row.  A trial
     rejects when its statistic exceeds the critical value.  Entries call
     the layer functions by their names in this module, so tracing that
@@ -88,24 +91,24 @@ class TestKind:
     critical: Callable
 
 
-def _et_simple_statistic(context, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
+def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
     mu, sigma, constraint = context
-    g = constraint.values(standardize(sample(alt, n, seeds), mu, sigma))
+    g = constraint.values(standardize(sample(alt, n, seed, trials), mu, sigma))
     return solve_maxent(g).statistic
 
 
-def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    return ks_statistic(sample(alt, n, seeds), null_cdf)
+def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    return ks_statistic(sample(alt, n, seed, trials), null_cdf)
 
 
-def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    y, X = simulate_model(model, n, seeds, error_process=alt)
+def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    y, X = simulate_model(model, n, seed, alt, trials)
     z = ratio_transform(ols_fit(y, X).residuals)
     return solve_maxent(np.sin(z)).statistic
 
 
-def _ks_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seeds: list[SeedSpec]):
-    y, X = simulate_model(model, n, seeds, error_process=alt)
+def _ks_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    y, X = simulate_model(model, n, seed, alt, trials)
     return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
 
 
@@ -232,21 +235,21 @@ class PowerTable:
 # ---------------------------------------------------------------------------
 
 
-def _block_statistics(statistic: Callable, context, alt, n: int, seeds: list[SeedSpec]) -> np.ndarray:
-    """The statistics of one block of trials; NaN marks a degenerate trial.
+def _block_statistics(statistic: Callable, context, alt, n: int, seed: SeedSpec, trials: int) -> np.ndarray:
+    """The statistics of the block's trials; NaN marks a degenerate trial.
 
     A degenerate trial spoils its block's call, so that block runs again
     as two halves, down to single trials: each degenerate trial is one
     NaN, whatever the block size, at about 2 log2 B calls per such trial.
     """
     try:
-        return statistic(context, alt, n, seeds)
+        return statistic(context, alt, n, seed, trials)
     except DegenerateTrialError:
-        if len(seeds) == 1:
+        if trials == 1:
             return np.full(1, np.nan)
-        half = len(seeds) // 2
-        halves = (seeds[:half], seeds[half:])
-        return np.concatenate([_block_statistics(statistic, context, alt, n, part) for part in halves])
+        half = trials // 2
+        halves = ((seed, half), (SeedSpec(seed.master_seed, seed.stream_id + half), trials - half))
+        return np.concatenate([_block_statistics(statistic, context, alt, n, *part) for part in halves])
 
 
 def _run_chunk(payload) -> np.ndarray:
@@ -262,7 +265,7 @@ def _run_chunk(payload) -> np.ndarray:
     # the regression kinds' context is the model, whose design is drawn first
     words = trial_words(context, n, alt) if kind.regression else uniform_words(alt, n)
     blocks = seed_blocks(master_seed, first, stop, words, alt)
-    return np.concatenate([_block_statistics(kind.statistic, context, alt, n, seeds) for seeds in blocks])
+    return np.concatenate([_block_statistics(kind.statistic, context, alt, n, *block) for block in blocks])
 
 
 def run_power_study(
@@ -273,12 +276,12 @@ def run_power_study(
 ) -> PowerTable:
     """Rejection-rate grid over (alternative, n); deterministic given the seed.
 
-    Trials draw from per-trial streams (row index * 2**32 + trial index), so
-    the output is identical for any worker count.  Each n's critical value
-    is taken once, before the first row; the trial chunks return statistics
-    and the decisions are made here.  Degenerate trials (DegenerateTrialError)
-    are tallied per row, and a rate above 0.1% aborts the run; any other
-    error propagates.
+    Trials draw from per-trial streams (sampling.first_stream: row index *
+    2**32 + trial index), so the output is identical for any worker count.
+    Each n's critical value is taken once, before the first row; the trial
+    chunks return statistics and the decisions are made here.  Degenerate
+    trials (DegenerateTrialError) are tallied per row, and a rate above 0.1%
+    aborts the run; any other error propagates.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -295,7 +298,7 @@ def run_power_study(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for row_idx, (alt_idx, alt, n) in enumerate(row_specs):
-            base = row_idx * _ROW_STRIDE
+            base = first_stream(row_idx)
             bounds = np.linspace(0, config.trials, (workers if pool else 1) + 1).astype(int)
             payloads = [
                 (config.test, alt, n, config.master_seed, base + int(lo), base + int(hi), context)
@@ -420,7 +423,9 @@ def emit_power_svg(table: PowerTable, path: str | Path) -> None:
             parts.append(f'<circle cx="{sx(n):.1f}" cy="{sy(p):.1f}" r="2.5" fill="{color}"/>')
         ly = y1 + 16 * i + 10
         parts.append(f'<line x1="{x1 + 10}" y1="{ly}" x2="{x1 + 34}" y2="{ly}" stroke="{color}" stroke-width="1.8"/>')
-        parts.append(f'<text x="{x1 + 40}" y="{ly + 4}">{alt}</text>')
+        # a label is XML text; xml.sax.saxutils.escape would import urllib.request, some MB of RSS
+        label = alt.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(f'<text x="{x1 + 40}" y="{ly + 4}">{label}</text>')
     parts.append(f'<text x="{x0}" y="{_SVG_MT - 10}" font-size="14">{table.rows[0].test}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
@@ -439,6 +444,7 @@ def load_config(path: str | Path) -> PowerStudyConfig:
     """Read a study config: '#' comments, one 'key = value' per line,
     comma-separated lists, distribution entries in the colon grammar."""
     pairs: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -446,7 +452,10 @@ def load_config(path: str | Path) -> PowerStudyConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        pairs[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in pairs:
+            raise ValueError(f"{path}: key {key!r} is given on lines {linenos[key]} and {lineno}; give it once")
+        pairs[key], linenos[key] = value.strip(), lineno
     return config_from_pairs(pairs)
 
 

@@ -27,7 +27,7 @@ except ImportError:  # no advisory file locks (Windows): puts are not serialised
 
 from .numerics import eval_vectorized
 from .results import TestResult
-from .sampling import seed_blocks
+from .sampling import first_stream, seed_blocks
 
 if TYPE_CHECKING:
     from .regression import LinearModelSpec
@@ -40,11 +40,7 @@ __all__ = [
     "run_ks_test",
     "CalibrationCache",
     "lilliefors_critical",
-    "CAL_STREAM_BASE",
 ]
-
-# calibration streams live far above harness row streams (row_idx * 2^32 + trial)
-CAL_STREAM_BASE = 1 << 62
 
 
 def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
@@ -242,7 +238,7 @@ def lilliefors_critical(
     and records the KS distance to the standard normal
     (regression.null_trial_ks_distance); the empirical (1 - alpha) quantile
     (ceil((1-alpha)*trials)-th order statistic) is returned.  Trial t draws
-    from stream CAL_STREAM_BASE + n * 2**32 + t, so the value is a pure
+    from stream first_stream(n, calibration=True) + t, so the value is a pure
     function of (master_seed, n, the rank alpha picks, trials, and the
     model: its design rule, beta and sigma2, as design_hash names them) and
     cache entries are portable across runs.  The trials run in blocks
@@ -261,10 +257,10 @@ def lilliefors_critical(
         hit = cache.get(n, alpha, dh, trials, master_seed)
         if hit is not None:
             return hit
-    first = CAL_STREAM_BASE + n * (1 << 32)
+    first = first_stream(n, calibration=True)
     errors = model.null_errors()
     blocks = seed_blocks(master_seed, first, first + trials, trial_words(model, n, errors), errors)
-    distances = np.concatenate([null_trial_ks_distance(model, n, seeds) for seeds in blocks])
+    distances = np.concatenate([null_trial_ks_distance(model, n, seed, count) for seed, count in blocks])
     distances.sort()
     rank = _critical_rank(alpha, trials)  # 1 <= rank <= trials, as 0 < alpha < 1
     critical = float(distances[rank - 1])

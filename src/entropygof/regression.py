@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -209,38 +208,37 @@ def trial_words(model: LinearModelSpec, n: int, error_process: DistributionSpec 
 def simulate_model(
     model: LinearModelSpec,
     n: int,
-    seed: SeedSpec | Sequence[SeedSpec],
+    seed: SeedSpec,
     error_process: DistributionSpec | None = None,
+    trials: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One simulated (y, X) draw: fresh design first, then the error path.
 
     The trial's stream gives the k - 1 design columns, n uniforms each,
-    and then the uniforms of the errors.  Given a sequence of B seeds it
-    returns y of shape (B, n) and X of shape (B, n, k); each trial draws
-    from its own stream, so row b is bit-identical to the draw of seeds[b]
+    and then the uniforms of the errors.  Given trials it returns y of
+    shape (trials, n) and X of shape (trials, n, k), row b drawn from
+    stream seed.stream_id + b and bit-identical to that trial's draw
     alone.  Raises ValueError, naming the error process, when a value of y
     is not finite (an explosive AR process overflows).
     """
     if n <= model.k:
         raise ValueError("need more observations than coefficients")
     errors = error_process or model.error_process
-    single = isinstance(seed, SeedSpec)
-    seeds = [seed] if single else seed
     d = (model.k - 1) * n
-    u = uniform_block(seeds, trial_words(model, n, errors))
-    X = np.ones((len(seeds), n, model.k))
-    X[:, :, 1:] = u[:, :d].reshape(len(seeds), model.k - 1, n).transpose(0, 2, 1)
+    u = uniform_block(seed, 1 if trials is None else trials, trial_words(model, n, errors))
+    X = np.ones((len(u), n, model.k))
+    X[:, :, 1:] = u[:, :d].reshape(len(u), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
     if not np.isfinite(y).all():
         message = f"error process {spec_label(errors)} gave non-finite values at n = {n}"
         innovation = getattr(errors, "innovation", None)
         raise ValueError(message + (f" (innovation {spec_label(innovation)})" if innovation else ""))
-    return (y[0], X[0]) if single else (y, X)
+    return (y[0], X[0]) if trials is None else (y, X)
 
 
 def null_trial_ks_distance(
-    model: LinearModelSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]
+    model: LinearModelSpec, n: int, seed: SeedSpec, trials: int | None = None
 ) -> float | np.ndarray:
-    """residual_ks_distance of one null-pipeline trial, or the B distances
-    of a block of seeds."""
-    return residual_ks_distance(*simulate_model(model, n, seed, error_process=model.null_errors()))
+    """residual_ks_distance of one null-pipeline trial, or the distances of
+    a block of trials from seed on (simulate_model)."""
+    return residual_ks_distance(*simulate_model(model, n, seed, model.null_errors(), trials))

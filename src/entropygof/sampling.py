@@ -3,11 +3,12 @@
 Streams are built on numpy's counter-based Philox generator: the pair
 (master_seed, stream_id) is the 128-bit Philox key, so every stream is
 fully determined by its SeedSpec and distinct stream ids are independent
-by construction.  A stream is its key with the counter at zero, so one
-Philox re-keyed per seed yields the streams of a whole block of trials
-(uniform_block).  All continuous draws are derived from uniforms on the
-open interval (0, 1); normals come from the package's own quantile
-function so that output is bit-identical across platforms.
+by construction.  A block of trials is the SeedSpec of its first stream
+and a count: row b draws stream stream_id + b, and one Philox re-keyed per
+row yields them all (uniform_block).  first_stream states which streams a
+study draws.  All continuous draws are derived from uniforms on the open
+interval (0, 1); normals come from the package's own quantile function so
+that output is bit-identical across platforms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, astuple, dataclass, field, fields
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -34,9 +35,9 @@ __all__ = [
     "DistributionSpec",
     "sample",
     "sample_using",
+    "first_stream",
     "seed_blocks",
     "uniform_block",
-    "uniform_open01",
     "uniform_shape",
     "uniform_words",
     "cdf",
@@ -67,22 +68,25 @@ class SeedSpec:
             if not (0 <= v <= _U64_MAX):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
-    @property
-    def key(self) -> tuple[int, int]:
-        """The two 64-bit words of the stream's Philox key."""
-        return self.master_seed, self.stream_id
-
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
+        return np.random.Generator(np.random.Philox(key=np.array((self.master_seed, self.stream_id), dtype=np.uint64)))
+
+
+def first_stream(row: int, calibration: bool = False) -> int:
+    """The stream layout, which every power CSV rests on: trial t of row r
+    of a power study (an alternative-by-n cell) draws stream r * 2**32 + t
+    of the master seed, and trial t of the Lilliefors calibration at sample
+    size n (calibration=True, row n) draws 2**62 + n * 2**32 + t."""
+    return (1 << 62 if calibration else 0) + (row << 32)
 
 
 def seed_blocks(
     master_seed: int, first: int, stop: int, words: int, spec: DistributionSpec
-) -> Iterator[list[SeedSpec]]:
-    """The streams first, ..., stop - 1 of master_seed, in blocks of
-    max(1, budget // words) seeds for trials that each draw `words`
-    uniform words (uniform_words, regression.trial_words) and whose values,
-    or errors, follow spec.
+) -> Iterator[tuple[SeedSpec, int]]:
+    """The streams first, ..., stop - 1 of master_seed as blocks
+    (SeedSpec(master_seed, lo), count) of max(1, budget // words) trials
+    (fewer in the last) that each draw `words` uniform words (uniform_words,
+    regression.trial_words) and whose values, or errors, follow spec.
 
     The budget is _BLOCK_WORDS, or 8 times that when spec's AR recursion
     steps over time (an ARProcess that is not a random walk): a block of at
@@ -92,25 +96,26 @@ def seed_blocks(
     steps = isinstance(spec, ARProcess) and not spec.is_random_walk
     block = max(1, (8 * _BLOCK_WORDS if steps else _BLOCK_WORDS) // words)
     for lo in range(first, stop, block):
-        yield [SeedSpec(master_seed, t) for t in range(lo, min(lo + block, stop))]
+        yield SeedSpec(master_seed, lo), min(block, stop - lo)
 
 
-def uniform_open01(gen: np.random.Generator, size: int | tuple) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1) with 53-bit resolution."""
-    return (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+def uniform_block(seed: SeedSpec, trials: int, count: int) -> np.ndarray:
+    """(trials, count) uniforms strictly inside (0, 1): row b holds the
+    first count of stream seed.stream_id + b of seed.master_seed.
 
-
-def uniform_block(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
-    """(B, count) uniforms: row b is uniform_open01(seeds[b].generator(), count).
-
-    One Philox serves the block: each seed sets its key, a zero counter and
-    an empty buffer, and its raw 64-bit words fill row b.  For the
-    power-of-two range 2**53, Generator.integers uses Lemire's method, which
-    never rejects and returns raw >> 11, so the rows equal the generator's
-    draws bit for bit (tests/test_sampling.py checks this on the installed
-    numpy).
+    One Philox serves the block: each row sets its key, a zero counter and
+    an empty buffer, and its raw 64-bit words fill the row.  A row equals
+    (Generator.integers(0, 2**53) + 0.5) * 2**-53 on its stream's
+    SeedSpec.generator() bit for bit: for that power-of-two range numpy uses
+    Lemire's method, which never rejects and returns raw >> 11
+    (tests/test_sampling.py checks this on the installed numpy).
     """
-    bits = np.random.Philox(0)  # seeded only to skip OS entropy: each seed replaces the state
+    last = seed.stream_id + trials - 1
+    if trials < 1:
+        raise ValueError(f"a block needs at least one trial, got trials = {trials}")
+    if last > _U64_MAX:
+        raise ValueError(f"a block of {trials} trials from stream {seed.stream_id} ends at stream {last} > 2**64 - 1")
+    bits = np.random.Philox(0)  # seeded only to skip OS entropy: each row replaces the state
     state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -119,9 +124,9 @@ def uniform_block(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    raw = np.empty((len(seeds), count), dtype=np.uint64)
-    for b, seed in enumerate(seeds):
-        state["state"]["key"] = seed.key
+    raw = np.empty((trials, count), dtype=np.uint64)
+    for b in range(trials):
+        state["state"]["key"] = (seed.master_seed, seed.stream_id + b)
         bits.state = state
         raw[b] = bits.random_raw(count)
     return ((raw >> 11) + 0.5) * 2.0**-53
@@ -385,32 +390,24 @@ def _map(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown distribution spec {spec!r}")
 
 
-def sample_using(spec: DistributionSpec, n: int, source: np.random.Generator | np.ndarray) -> np.ndarray:
-    """Draw n values of spec, consuming state from an existing generator.
-
-    Given a (B, count) block of uniforms from uniform_block, with count the
-    size of uniform_shape(spec, n), it returns the (B, n) values of its
-    rows; the variate map runs once over the whole block.
-    """
-    shape = uniform_shape(spec, n)
-    if isinstance(source, np.random.Generator):
-        return _map(spec, uniform_open01(source, shape))
-    return _map(spec, source.reshape((len(source),) + shape))
+def sample_using(spec: DistributionSpec, n: int, u: np.ndarray) -> np.ndarray:
+    """The (B, n) values of spec that a (B, count) block of uniforms from
+    uniform_block gives, with count = uniform_words(spec, n); the variate
+    map runs once over the whole block."""
+    return _map(spec, u.reshape((len(u),) + uniform_shape(spec, n)))
 
 
-def sample(spec: DistributionSpec, n: int, seed: SeedSpec | Sequence[SeedSpec]) -> np.ndarray:
+def sample(spec: DistributionSpec, n: int, seed: SeedSpec, trials: int | None = None) -> np.ndarray:
     """Draw n values of spec from the stream named by seed.
 
     Deterministic: identical (spec, n, seed) always yields bit-identical
-    output, independent of anything else the process has sampled.  Given a
-    sequence of B seeds it returns a (B, n) block whose row b is
-    bit-identical to sample(spec, n, seeds[b]): each row is drawn from its
-    own stream.
+    output, independent of anything else the process has sampled.  Given
+    trials, it returns the (trials, n) block whose row b is bit-identical
+    to sample(spec, n, SeedSpec(seed.master_seed, seed.stream_id + b)):
+    each row is drawn from its own stream.
     """
-    single = isinstance(seed, SeedSpec)
-    u = uniform_block([seed] if single else seed, uniform_words(spec, n))
-    x = sample_using(spec, n, u)
-    return x[0] if single else x
+    x = sample_using(spec, n, uniform_block(seed, 1 if trials is None else trials, uniform_words(spec, n)))
+    return x[0] if trials is None else x
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ solver; the KL oracle computes the entropy statistic from the weights
 instead of the dual identity the solver uses; the erf oracle is a plain
 Maclaurin series; the least-squares reference fits one matrix with
 unstacked numpy calls; the model reference draws one trial from its own
-Generator, column by column; the dual-solve reference solves one vector
-with scalar Python control flow; the AR reference runs one row at a time
+Generator, column by column, and the Generator-side sampler draws a
+spec's uniforms by Generator.integers, not from raw Philox words; the
+dual-solve reference solves one vector with scalar Python control flow;
+the AR reference runs one row at a time
 with a shifting list of lags; the erfc and normal-quantile references
 evaluate each regime on a boolean-masked gather with allocating Horner
 steps, as the regime-per-pass functions in numerics must reproduce bit
@@ -23,7 +25,7 @@ import numpy as np
 
 from entropygof import numerics as nm
 from entropygof.maxent import MaxEntSolution
-from entropygof.sampling import sample_using, uniform_open01
+from entropygof.sampling import sample_using, uniform_words
 
 
 def erf_series(x: float, terms: int = 60) -> float:
@@ -135,6 +137,19 @@ def solve_maxent_reference(g, tol: float = 1e-10) -> MaxEntSolution:
     return MaxEntSolution(pi, lam, log_z, max(stat, 0.0), True, abs(mean), iterations)
 
 
+def uniform_open01(gen: np.random.Generator, size: int | tuple) -> np.ndarray:
+    """Uniform draws strictly inside (0, 1) with 53-bit resolution, by
+    Generator.integers: the definition of a stream's uniforms, which the
+    rows of sampling.uniform_block must reproduce bit for bit."""
+    return (gen.integers(0, 1 << 53, size=size, dtype=np.uint64) + 0.5) * 2.0**-53
+
+
+def generator_sample(spec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n values of spec from the next uniforms of gen (uniform_open01), as
+    one row of sampling.sample must reproduce them bit for bit."""
+    return sample_using(spec, n, uniform_open01(gen, (1, uniform_words(spec, n))))[0]
+
+
 def simulate_model_reference(model, n: int, seed, error_process=None) -> tuple[np.ndarray, np.ndarray]:
     """(y, X) of one trial from seed.generator(): the intercept, then k - 1
     design columns of n uniforms each, then the errors, all drawn from the
@@ -142,7 +157,7 @@ def simulate_model_reference(model, n: int, seed, error_process=None) -> tuple[n
     for bit."""
     gen = seed.generator()
     X = np.column_stack([np.ones(n)] + [uniform_open01(gen, n) for _ in range(model.k - 1)])
-    y = X @ np.asarray(model.beta) + sample_using(error_process or model.error_process, n, gen)
+    y = X @ np.asarray(model.beta) + generator_sample(error_process or model.error_process, n, gen)
     return y, X
 
 

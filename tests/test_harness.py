@@ -234,11 +234,11 @@ class TestRunPowerStudy:
     def test_degenerate_trials_counted_one_by_one(self, monkeypatch):
         kind = hz.TEST_KINDS["ks-simple"]
 
-        def flaky(context, alt, n, seeds):
+        def flaky(context, alt, n, seed, trials):
             # trial 17 of every row is degenerate; it spoils any block holding it
-            if any(seed.stream_id % (1 << 32) == 17 for seed in seeds):
+            if any((seed.stream_id + b) % (1 << 32) == 17 for b in range(trials)):
                 raise DegenerateTrialError("zero denominator")
-            return kind.statistic(context, alt, n, seeds)
+            return kind.statistic(context, alt, n, seed, trials)
 
         monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=flaky))
         cfg = small_config(test="ks-simple", trials=1000, sample_sizes=(25,))
@@ -250,18 +250,18 @@ class TestRunPowerStudy:
     def test_spoiled_block_runs_again_in_halves(self):
         calls = []
 
-        def statistic(context, alt, n, seeds):
-            calls.append(len(seeds))
-            if any(seed.stream_id == 300 for seed in seeds):
+        def statistic(context, alt, n, seed, trials):
+            calls.append(trials)
+            streams = range(seed.stream_id, seed.stream_id + trials)
+            if 300 in streams:
                 raise DegenerateTrialError("flat design")
-            return np.array([float(seed.stream_id) for seed in seeds])
+            return np.array(streams, dtype=float)
 
-        seeds = [SeedSpec(1, t) for t in range(655)]
-        stats = hz._block_statistics(statistic, None, Normal(), 25, seeds)
+        stats = hz._block_statistics(statistic, None, Normal(), 25, SeedSpec(1, 0), 655)
         assert np.flatnonzero(np.isnan(stats)).tolist() == [300]
         assert np.delete(stats, 300).tolist() == [t for t in range(655) if t != 300]
         # one call per block, then two per halving: 21 here, where single trials took 656
-        assert len(calls) <= 1 + 2 * math.ceil(math.log2(len(seeds)))
+        assert len(calls) <= 1 + 2 * math.ceil(math.log2(655))
 
     @pytest.mark.parametrize("test", ["et-simple", "ks-simple", "et-regression", "ks-regression"])
     def test_block_size_does_not_change_rows(self, monkeypatch, test):
@@ -295,12 +295,11 @@ class TestRunPowerStudy:
     def test_degenerate_regression_trial_counted_once(self, monkeypatch, test):
         simulate = hz.simulate_model
 
-        def one_flat_design(model, n, seeds, error_process=None):
+        def one_flat_design(model, n, seed, error_process=None, trials=None):
             # trial 17 of every row gets a design with two intercept columns
-            y, X = simulate(model, n, seeds, error_process)
-            ids = [seeds.stream_id] if isinstance(seeds, SeedSpec) else [s.stream_id for s in seeds]
-            for b, stream_id in enumerate(ids):
-                if stream_id % (1 << 32) == 17:
+            y, X = simulate(model, n, seed, error_process, trials)
+            for b in range(1 if trials is None else trials):
+                if (seed.stream_id + b) % (1 << 32) == 17:
                     X.reshape(-1, n, model.k)[b, :, 1] = 1.0
             return y, X
 
@@ -329,9 +328,9 @@ def _block_lengths(monkeypatch, test, alt, n, context, trials=1000):
     """The trials per block of one chunk, seen by a stub statistic."""
     lengths = []
 
-    def stub(context, alt, n, seeds):
-        lengths.append(len(seeds))
-        return np.zeros(len(seeds))
+    def stub(context, alt, n, seed, trials):
+        lengths.append(trials)
+        return np.zeros(trials)
 
     monkeypatch.setitem(hz.TEST_KINDS, test, replace(hz.TEST_KINDS[test], statistic=stub))
     hz._run_chunk((test, alt, n, 1, 0, trials, context))
@@ -448,12 +447,13 @@ def test_block_statistic_matches_library(test, n):
     alts = _REGRESSION_ALTS if kind.regression else _SIMPLE_ALTS
     config = hz.PowerStudyConfig(test=test, alternatives=alts, sample_sizes=(n,), null_spec=null)
     context = kind.context(config)
-    seeds = [SeedSpec(2024, 3 * 2**32 + t) for t in range(5)]
+    first = SeedSpec(2024, 3 * 2**32)
+    seeds = [SeedSpec(2024, first.stream_id + t) for t in range(5)]
     for alt in alts:
-        block = kind.statistic(context, alt, n, seeds)
+        block = kind.statistic(context, alt, n, first, len(seeds))
         assert _bytes(block) == _bytes(_library_statistic(test, null, alt, n, seed) for seed in seeds)
     if test == "ks-regression":
-        block = kind.statistic(context, null.null_errors(), n, seeds)
+        block = kind.statistic(context, null.null_errors(), n, first, len(seeds))
         assert _bytes(block) == _bytes(null_trial_ks_distance(null, n, seed) for seed in seeds)
 
 
@@ -499,6 +499,14 @@ class TestSvg:
         table = hz.run_power_study(small_config(sample_sizes=(25,)))
         hz.emit_power_svg(table, tmp_path / "one.svg")
         assert (tmp_path / "one.svg").exists()
+
+    def test_label_markup_escaped(self, tmp_path):
+        # row labels come from config files, so XML markup in them is text
+        labels = ("a<b&c", "d>e")
+        table = hz.PowerTable([hz.PowerRow("et-simple", label, 25, 0.05, 100, 5) for label in labels])
+        hz.emit_power_svg(table, tmp_path / "p.svg")
+        texts = [el.text for el in ET.parse(tmp_path / "p.svg").getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert set(labels) <= set(texts)
 
 
 class TestDistributionGrammar:
@@ -588,6 +596,13 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text("test = et-simple\n")
         with pytest.raises(ValueError, match="missing"):
+            hz.load_config(path)
+
+    def test_key_given_twice(self, tmp_path):
+        # keys are case-insensitive, so Trials repeats trials
+        path = tmp_path / "twice.cfg"
+        path.write_text("test = ks-simple\ntrials = 100\nalternatives = normal:0:1\n\nTrials = 200\nsample_sizes = 25\n")
+        with pytest.raises(ValueError, match="key 'trials' is given on lines 2 and 5"):
             hz.load_config(path)
 
     def test_malformed_line(self, tmp_path):

@@ -207,8 +207,7 @@ class TestLilliefors:
         # trial t of the calibration at n draws from stream 2**62 + n * 2**32 + t
         n, trials = 30, 1000
         first = (1 << 62) + n * (1 << 32)
-        seeds = [SeedSpec(9, first + t) for t in range(trials)]
-        distances = np.sort(null_trial_ks_distance(self.model, n, seeds))
+        distances = np.sort(null_trial_ks_distance(self.model, n, SeedSpec(9, first), trials))
         assert ks.lilliefors_critical(self.model, n, 0.05, trials, 9) == distances[949]
 
     @pytest.mark.parametrize("warm, other", [(0.05, 0.049999999999), (0.049999999999, 0.05)])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ols_fit_reference, simulate_model_reference
+from helpers import ols_fit_reference, simulate_model_reference, uniform_open01
 from hypothesis import given, settings, strategies as st
 
 from entropygof import regression as rg
@@ -15,7 +15,6 @@ from entropygof.sampling import (
     SeedSpec,
     StudentT,
     sample,
-    uniform_open01,
 )
 
 MODEL = rg.LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
@@ -55,7 +54,7 @@ class TestOls:
             rg.ols_fit(np.zeros(20), X)
 
     def test_rank_deficient_row_spoils_block(self):
-        y, X = rg.simulate_model(MODEL, 20, [SeedSpec(2, t) for t in range(4)])
+        y, X = rg.simulate_model(MODEL, 20, SeedSpec(2, 0), trials=4)
         X[2, :, 1] = 0.5
         with pytest.raises(rg.DegenerateTrialError, match="rank"):
             rg.ols_fit(y, X)
@@ -281,14 +280,14 @@ class TestBlocks:
     def test_rows_match_single_trials(self, errors, k, data, trials, master_seed, first):
         n = data.draw(st.integers(k + 1, 150), label="n")
         model = rg.LinearModelSpec(beta=(1.0, 5.0, -2.0)[:k], sigma2=4.0, error_process=errors)
-        seeds = [SeedSpec(master_seed, first + t) for t in range(trials)]
-        y, X = rg.simulate_model(model, n, seeds)
+        y, X = rg.simulate_model(model, n, SeedSpec(master_seed, first), trials=trials)
         assert y.shape == (trials, n) and X.shape == (trials, n, k)
         fit = rg.ols_fit(y, X)
         ratios = rg.ratio_transform(fit.residuals)
         z = rg.standardized_residuals(fit)
-        distances = rg.null_trial_ks_distance(model, n, seeds)
-        for b, seed in enumerate(seeds):
+        distances = rg.null_trial_ks_distance(model, n, SeedSpec(master_seed, first), trials)
+        for b in range(trials):
+            seed = SeedSpec(master_seed, first + b)
             y1, X1 = rg.simulate_model(model, n, seed)
             assert _same(y[b], y1) and _same(X[b], X1)
             y0, X0 = simulate_model_reference(model, n, seed)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ar_recurse_reference
+from helpers import ar_recurse_reference, generator_sample, uniform_open01
 from hypothesis import example, given, settings, strategies as st
 
 from entropygof import numerics as nm
@@ -43,7 +43,7 @@ class TestSeedSpec:
         assert abs(np.corrcoef(x, y)[0, 1]) < 4.0 / math.sqrt(n)
 
     def test_uniform_open01_strictly_inside(self):
-        u = sp.uniform_open01(sp.SeedSpec(1, 1).generator(), 10**6)
+        u = uniform_open01(sp.SeedSpec(1, 1).generator(), 10**6)
         assert u.min() > 0.0 and u.max() < 1.0
 
 
@@ -179,18 +179,31 @@ _KEY_WORDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1
 
 class TestBlocks:
     @settings(max_examples=100, deadline=None)
-    @given(
-        count=st.integers(1, 4200),
-        master_seeds=st.lists(_KEY_WORDS, min_size=1, max_size=4),
-        stream_ids=st.lists(_KEY_WORDS, min_size=1, max_size=4),
-    )
-    def test_uniform_block_matches_generator(self, count, master_seeds, stream_ids):
-        # the counter-based layout: a stream is its key with the counter at zero
-        seeds = [sp.SeedSpec(m, s) for m, s in zip(master_seeds, stream_ids)]
-        block = sp.uniform_block(seeds, count)
-        assert block.shape == (len(seeds), count)
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == sp.uniform_open01(seed.generator(), count).tobytes()
+    @given(count=st.integers(1, 4200), master_seed=_KEY_WORDS, first=_KEY_WORDS, trials=st.integers(1, 4))
+    def test_uniform_block_matches_generator(self, count, master_seed, first, trials):
+        # the counter-based layout: a stream is its key with the counter at zero;
+        # a first key word at 2**64 - 1 puts the block's last stream there
+        first = min(first, 2**64 - trials)
+        block = sp.uniform_block(sp.SeedSpec(master_seed, first), trials, count)
+        assert block.shape == (trials, count)
+        for b, row in enumerate(block):
+            want = uniform_open01(sp.SeedSpec(master_seed, first + b).generator(), count)
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_empty_block_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"trials = {trials}"):
+            sp.sample(sp.Normal(), 10, sp.SeedSpec(3, 0), trials)
+        with pytest.raises(ValueError, match=f"trials = {trials}"):
+            sp.uniform_block(sp.SeedSpec(3, 0), trials, 10)
+
+    def test_block_past_the_last_stream_rejected(self):
+        # streams are unsigned 64-bit key words, so a block may not run past 2**64 - 1
+        with pytest.raises(ValueError, match=f"ends at stream {2**64} "):
+            sp.uniform_block(sp.SeedSpec(5, 2**64 - 1), 2, 10)
+        with pytest.raises(ValueError, match=f"stream {2**64 - 2}"):
+            sp.sample(sp.Normal(), 10, sp.SeedSpec(5, 2**64 - 2), 3)
+        assert sp.uniform_block(sp.SeedSpec(5, 2**64 - 2), 2, 10).shape == (2, 10)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -201,19 +214,21 @@ class TestBlocks:
         first=st.integers(0, 2**63),
     )
     def test_rows_match_generator_draws(self, spec, n, trials, master_seed, first):
-        seeds = [sp.SeedSpec(master_seed, first + t) for t in range(trials)]
-        block = sp.sample(spec, n, seeds)
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == sp.sample_using(spec, n, seed.generator()).tobytes()
+        block = sp.sample(spec, n, sp.SeedSpec(master_seed, first), trials)
+        assert block.shape == (trials, n)
+        for b, row in enumerate(block):
+            want = generator_sample(spec, n, sp.SeedSpec(master_seed, first + b).generator())
+            assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", [s for s in _MENU if isinstance(s, sp.ARProcess)])
     @pytest.mark.parametrize("n", [1, 50, 100])
     def test_wide_ar_blocks_match_generator_draws(self, spec, n):
-        seeds = [sp.SeedSpec(2024, t) for t in range(40)]
-        assert len(seeds) >= sp._AR_STEP_ROWS  # the time-stepped path
-        block = sp.sample(spec, n, seeds)
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == sp.sample_using(spec, n, seed.generator()).tobytes()
+        trials = 40
+        assert trials >= sp._AR_STEP_ROWS  # the time-stepped path
+        block = sp.sample(spec, n, sp.SeedSpec(2024, 0), trials)
+        assert block.shape == (trials, n)
+        for b, row in enumerate(block):
+            assert row.tobytes() == generator_sample(spec, n, sp.SeedSpec(2024, b).generator()).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -242,20 +257,21 @@ class TestBlocks:
     )
     def test_seed_blocks_cover_the_range_within_budget(self, first, trials, words, spec):
         blocks = list(sp.seed_blocks(7, first, first + trials, words, spec))
-        assert [seed.stream_id for block in blocks for seed in block] == list(range(first, first + trials))
-        assert all(seed.master_seed == 7 for block in blocks for seed in block)
+        streams = [seed.stream_id + b for seed, count in blocks for b in range(count)]
+        assert streams == list(range(first, first + trials))
+        assert all(seed.master_seed == 7 for seed, _ in blocks)
         # a trial whose AR recursion steps over time gets 8 times the budget;
         # only a single trial may draw more words than its block's budget
         steps = isinstance(spec, sp.ARProcess) and not spec.is_random_walk
         budget = 8 * sp._BLOCK_WORDS if steps else sp._BLOCK_WORDS
-        assert all(len(block) == 1 or len(block) * words <= budget for block in blocks)
-        assert all(len(block) == max(1, budget // words) for block in blocks[:-1])
+        assert all(count == 1 or count * words <= budget for _, count in blocks)
+        assert all(count == max(1, budget // words) for _, count in blocks[:-1])
         if not steps:
             # every other spec keeps the blocks of an iid spec
             assert blocks == list(sp.seed_blocks(7, first, first + trials, words, sp.Normal()))
 
     def test_block_must_fit_the_spec(self):
-        u = sp.uniform_block([sp.SeedSpec(3, 0), sp.SeedSpec(3, 1)], 10)
+        u = sp.uniform_block(sp.SeedSpec(3, 0), 2, 10)
         with pytest.raises(ValueError):
             sp.sample_using(sp.Normal(), 11, u)
 
@@ -268,11 +284,10 @@ class TestBlocks:
         first=st.integers(0, 2**63),
     )
     def test_rows_match_single_draws(self, spec, n, trials, master_seed, first):
-        seeds = [sp.SeedSpec(master_seed, first + t) for t in range(trials)]
-        block = sp.sample(spec, n, seeds)
+        block = sp.sample(spec, n, sp.SeedSpec(master_seed, first), trials)
         assert block.shape == (trials, n)
-        for seed, row in zip(seeds, block):
-            assert row.tobytes() == sp.sample(spec, n, seed).tobytes()
+        for b, row in enumerate(block):
+            assert row.tobytes() == sp.sample(spec, n, sp.SeedSpec(master_seed, first + b)).tobytes()
 
 
 class TestCdf:
