@@ -150,7 +150,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    model = LinearModelSpec(beta=tuple(args.beta), sigma2=args.sigma2)
+    if args.k < 1:
+        raise CliError(f"--k must be at least 1, got {args.k}")
+    # the critical depends on the model through k alone (lilliefors_critical)
+    model = LinearModelSpec(beta=(0.0,) * args.k, sigma2=1.0)
     cache = CalibrationCache(args.cache) if args.cache else None
     critical = lilliefors_critical(
         model, args.n, args.alpha, args.trials, args.seed if args.seed is not None else _default_seed(),
@@ -221,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--alpha", type=float, default=0.05)
     p_cal.add_argument("--trials", type=int, default=PowerStudyConfig.lilliefors_trials)
     p_cal.add_argument("--seed", type=int, default=None)
-    p_cal.add_argument("--beta", type=float, nargs="+", default=list(DEFAULT_MODEL.beta))
-    p_cal.add_argument("--sigma2", type=float, default=DEFAULT_MODEL.sigma2)
+    p_cal.add_argument("--k", type=int, default=DEFAULT_MODEL.k, help="coefficients of the design, intercept included")
     p_cal.add_argument("--cache", default=None, help="calibration cache file to read/update")
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -44,6 +44,7 @@ from .sampling import (
     StudentT,
     Uniform,
     cdf,
+    check_row_trials,
     first_stream,
     parse_distribution,
     sample,
@@ -169,6 +170,8 @@ class PowerStudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
+        for name in ("trials", "lilliefors_trials"):
+            check_row_trials(name, getattr(self, name))
         SeedSpec(self.master_seed)  # every trial stream is keyed by an unsigned 64-bit master seed
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
@@ -187,6 +190,8 @@ class PowerStudyConfig:
         if self.labels is not None and len(self.labels) != len(self.alternatives):
             raise ValueError("labels must match alternatives one-to-one")
         names = [self.row_label(i) for i in range(len(self.alternatives))]
+        for name in names:
+            _check_label(name)  # before the study runs, not when its CSV is written
         shared = sorted({name for name in names if names.count(name) > 1})
         if shared:
             # an AR or MA label omits the innovation, so distinct alternatives can collide
@@ -335,10 +340,15 @@ def run_power_study(
 # ---------------------------------------------------------------------------
 
 
+def _check_label(label: str) -> None:
+    """A row label is one CSV field of one line."""
+    if any(c in label for c in ",\r\n"):
+        raise ValueError(f"row label {label!r} may not contain commas or line breaks")
+
+
 def power_csv_line(r: PowerRow) -> str:
     """One row in the CSV_HEADER columns; numeric reals at 6 significant digits."""
-    if "," in r.alternative:
-        raise ValueError(f"row label {r.alternative!r} may not contain commas")
+    _check_label(r.alternative)
     return f"{r.test},{r.alternative},{r.n},{r.alpha:.6g},{r.trials},{r.rejections},{r.power:.6g},{r.se:.6g}"
 
 
@@ -462,6 +472,16 @@ def load_config(path: str | Path) -> PowerStudyConfig:
 # optional keys that set the PowerStudyConfig field of the same name
 _FIELD_KEYS = {"alpha": float, "trials": int, "master_seed": int, "lilliefors_trials": int}
 _STUDY_KEYS = {"test", "alternatives", "sample_sizes", "labels", *_FIELD_KEYS}
+_TYPE_NAMES = {float: "a number", int: "an integer"}
+
+
+def _parse(key: str, text: str, convert: type):
+    """text as convert, or a ValueError that names the key and the type, as
+    parse_distribution's errors quote the entry."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} takes {_TYPE_NAMES[convert]}: {exc}") from exc
 
 
 def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
@@ -478,14 +498,17 @@ def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
     unread = sorted(set(pairs) - _STUDY_KEYS - ({"beta", "sigma2"} if regression else {"null"}))
     if unread:
         raise ValueError(f"config keys not read by a {test} study: {', '.join(unread)}")
-    kw = {key: convert(pairs[key]) for key, convert in _FIELD_KEYS.items() if key in pairs}
+    kw = {key: _parse(key, pairs[key], convert) for key, convert in _FIELD_KEYS.items() if key in pairs}
     if "labels" in pairs:
         kw["labels"] = tuple(_split_list(pairs["labels"]))
 
     innovation = None
     if regression:
-        beta = tuple(float(v) for v in _split_list(pairs["beta"])) if "beta" in pairs else DEFAULT_MODEL.beta
-        sigma2 = float(pairs["sigma2"]) if "sigma2" in pairs else DEFAULT_MODEL.sigma2
+        beta, sigma2 = DEFAULT_MODEL.beta, DEFAULT_MODEL.sigma2
+        if "beta" in pairs:
+            beta = tuple(_parse("beta", v, float) for v in _split_list(pairs["beta"]))
+        if "sigma2" in pairs:
+            sigma2 = _parse("sigma2", pairs["sigma2"], float)
         kw["null_spec"] = LinearModelSpec(beta, sigma2)
         innovation = kw["null_spec"].error_process
     elif "null" in pairs:
@@ -493,6 +516,6 @@ def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
     return PowerStudyConfig(
         test=test,
         alternatives=tuple(parse_distribution(a, innovation) for a in _split_list(pairs["alternatives"])),
-        sample_sizes=tuple(int(v) for v in _split_list(pairs["sample_sizes"])),
+        sample_sizes=tuple(_parse("sample_sizes", v, int) for v in _split_list(pairs["sample_sizes"])),
         **kw,
     )

@@ -13,7 +13,6 @@ tested here.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -27,7 +26,7 @@ except ImportError:  # no advisory file locks (Windows): puts are not serialised
 
 from .numerics import eval_vectorized
 from .results import TestResult
-from .sampling import first_stream, seed_blocks
+from .sampling import Normal, check_row_trials, first_stream, seed_blocks
 
 if TYPE_CHECKING:
     from .regression import LinearModelSpec
@@ -141,12 +140,14 @@ def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
 class CalibrationCache:
     """Line-oriented on-disk store of calibrated criticals.
 
-    One record per line: n,alpha,design_hash,trials,master_seed,critical.
-    The file is derivable from scratch and never authoritative; a missing
-    or stale entry just triggers recalibration.  So does a damaged one: a
-    malformed record, or a torn final line without its newline, is skipped
-    on load and never used as a critical value.  Concurrent writers are
-    serialised by an exclusive lock on the file where the platform has one.
+    One record per line: n,alpha,k,trials,master_seed,critical, with k the
+    design's coefficient count in plain digits.  The file is derivable
+    from scratch and never authoritative; a missing or stale entry just
+    triggers recalibration.  So does a damaged one: a malformed record, a
+    record of an earlier format (a design id where k stands), or a torn
+    final line without its newline, is skipped on load and never used as a
+    critical value.  Concurrent writers are serialised by an exclusive
+    lock on the file where the platform has one.
     """
 
     def __init__(self, path: str | Path):
@@ -155,9 +156,9 @@ class CalibrationCache:
         self._load()
 
     @staticmethod
-    def _key(n: int, alpha: float, design_hash: str, trials: int, master_seed: int) -> tuple:
+    def _key(n: int, alpha: float, k: int, trials: int, master_seed: int) -> tuple:
         # alphas that pick the same order statistic share a critical
-        return (int(n), _critical_rank(alpha, trials), design_hash, int(trials), int(master_seed))
+        return (int(n), _critical_rank(alpha, trials), int(k), int(trials), int(master_seed))
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -170,20 +171,20 @@ class CalibrationCache:
             parts = line.split(",")
             if len(parts) != 6:
                 continue
-            n, alpha, design_hash, trials, master_seed, critical = parts
+            n, alpha, k, trials, master_seed, critical = parts
             try:
-                key = self._key(int(n), float(alpha), design_hash, int(trials), int(master_seed))
+                if k != str(int(k)):
+                    continue  # not a k as put writes it: an earlier format's design id
+                key = self._key(int(n), float(alpha), int(k), int(trials), int(master_seed))
                 self._entries[key] = float(critical)
             except (ValueError, OverflowError):
                 continue  # a malformed record is recalibrated, never used
 
-    def get(self, n: int, alpha: float, design_hash: str, trials: int, master_seed: int) -> float | None:
-        return self._entries.get(self._key(n, alpha, design_hash, trials, master_seed))
+    def get(self, n: int, alpha: float, k: int, trials: int, master_seed: int) -> float | None:
+        return self._entries.get(self._key(n, alpha, k, trials, master_seed))
 
-    def put(
-        self, n: int, alpha: float, design_hash: str, trials: int, master_seed: int, critical: float
-    ) -> None:
-        key = self._key(n, alpha, design_hash, trials, master_seed)
+    def put(self, n: int, alpha: float, k: int, trials: int, master_seed: int, critical: float) -> None:
+        key = self._key(n, alpha, k, trials, master_seed)
         if self._entries.get(key) == critical:
             return
         self._entries[key] = critical
@@ -200,27 +201,15 @@ class CalibrationCache:
                 # own and does not turn the fragment into a loadable record
                 kept = kept[: kept.rfind(b"\n") + 1]
                 fh.truncate(len(kept))
-            record = f"{n},{float(alpha)!r},{design_hash},{trials},{master_seed},{critical!r}\n"
+            record = f"{n},{float(alpha)!r},{k},{trials},{master_seed},{critical!r}\n"
             if not kept:
-                record = "# n,alpha,design_hash,trials,master_seed,critical\n" + record
+                record = "# n,alpha,k,trials,master_seed,critical\n" + record
             fh.write(record.encode())
 
 
 def _critical_rank(alpha: float, trials: int) -> int:
     """The order statistic, ceil((1 - alpha) * trials), that calibrates alpha."""
     return math.ceil((1.0 - alpha) * trials)
-
-
-def design_hash(model: "LinearModelSpec") -> str:
-    """Stable id of the null model a critical is calibrated for: the design
-    rule (an intercept and k - 1 Uniform(0, 1) columns), beta and sigma2.
-
-    In exact arithmetic the residual KS distance does not depend on beta or
-    sigma2, but y = X beta + e and the residual scale round differently for
-    each, so the calibrated critical can differ in its last bits.
-    """
-    text = f"intercept+uniform01,k={len(model.beta)},beta={model.beta!r},sigma2={float(model.sigma2)!r}"
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 def lilliefors_critical(
@@ -233,37 +222,38 @@ def lilliefors_critical(
 ) -> float:
     """Critical D from simulating the full null regression pipeline.
 
-    Each trial draws a fresh design and normal errors, fits by least
-    squares, standardizes residuals by their estimated standard deviation,
-    and records the KS distance to the standard normal
+    Each trial draws a fresh design and N(0, 1) errors at the canonical
+    null of model's design (beta = 0, sigma2 = 1, the same k), fits by
+    least squares, standardizes residuals by their estimated standard
+    deviation, and records the KS distance to the standard normal
     (regression.null_trial_ks_distance); the empirical (1 - alpha) quantile
     (ceil((1-alpha)*trials)-th order statistic) is returned.  Trial t draws
     from stream first_stream(n, calibration=True) + t, so the value is a pure
-    function of (master_seed, n, the rank alpha picks, trials, and the
-    model: its design rule, beta and sigma2, as design_hash names them) and
-    cache entries are portable across runs.  The trials run in blocks
-    (sampling.seed_blocks), which never changes a draw.
+    function of (master_seed, n, the rank alpha picks, trials, k): models
+    that share k share one critical, bit for bit, and cache entries are
+    portable across runs.  The trials run in blocks (sampling.seed_blocks),
+    which never changes a draw.
     """
     from .regression import null_trial_ks_distance, trial_words
 
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
+    check_row_trials("trials", trials)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if n <= model.k:
         raise ValueError(f"calibration needs n > {model.k} (more observations than coefficients), got n = {n}")
-    dh = design_hash(model)
     if cache is not None:
-        hit = cache.get(n, alpha, dh, trials, master_seed)
+        hit = cache.get(n, alpha, model.k, trials, master_seed)
         if hit is not None:
             return hit
     first = first_stream(n, calibration=True)
-    errors = model.null_errors()
+    errors = Normal()
     blocks = seed_blocks(master_seed, first, first + trials, trial_words(model, n, errors), errors)
     distances = np.concatenate([null_trial_ks_distance(model, n, seed, count) for seed, count in blocks])
     distances.sort()
     rank = _critical_rank(alpha, trials)  # 1 <= rank <= trials, as 0 < alpha < 1
     critical = float(distances[rank - 1])
     if cache is not None:
-        cache.put(n, alpha, dh, trials, master_seed, critical)
+        cache.put(n, alpha, model.k, trials, master_seed, critical)
     return critical

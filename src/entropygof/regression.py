@@ -239,6 +239,13 @@ def simulate_model(
 def null_trial_ks_distance(
     model: LinearModelSpec, n: int, seed: SeedSpec, trials: int | None = None
 ) -> float | np.ndarray:
-    """residual_ks_distance of one null-pipeline trial, or the distances of
-    a block of trials from seed on (simulate_model)."""
-    return residual_ks_distance(*simulate_model(model, n, seed, model.null_errors(), trials))
+    """residual_ks_distance of one trial of the canonical null of model's
+    design, or the distances of a block of trials from seed on
+    (simulate_model): the same k, beta = 0, sigma2 = 1 and N(0, 1) errors.
+
+    The distance has one null law for every beta and sigma2 of a design,
+    but other beta or sigma2 round the residuals differently; at the
+    canonical null the distances depend on the model through k alone.
+    """
+    canonical = LinearModelSpec((0.0,) * model.k, 1.0)
+    return residual_ks_distance(*simulate_model(canonical, n, seed, trials=trials))

@@ -36,6 +36,7 @@ __all__ = [
     "sample",
     "sample_using",
     "first_stream",
+    "check_row_trials",
     "seed_blocks",
     "uniform_block",
     "uniform_shape",
@@ -65,8 +66,9 @@ class SeedSpec:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not (0 <= v <= _U64_MAX):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer")
+            # a float key would be truncated, and share the stream of its integer part
+            if not (isinstance(v, numbers.Integral) and 0 <= v <= _U64_MAX):
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=np.array((self.master_seed, self.stream_id), dtype=np.uint64)))
@@ -78,6 +80,13 @@ def first_stream(row: int, calibration: bool = False) -> int:
     of the master seed, and trial t of the Lilliefors calibration at sample
     size n (calibration=True, row n) draws 2**62 + n * 2**32 + t."""
     return (1 << 62 if calibration else 0) + (row << 32)
+
+
+def check_row_trials(name: str, trials: int) -> None:
+    """Reject a count of trials that would run past the 2**32 streams of
+    its row of first_stream's layout into the next row's."""
+    if trials > 1 << 32:
+        raise ValueError(f"{name} = {trials} exceeds 2**32, the streams of one row (sampling.first_stream)")
 
 
 def seed_blocks(

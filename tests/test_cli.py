@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from entropygof.cli import main, read_data_file
+from entropygof.kstest import lilliefors_critical
+from entropygof.regression import LinearModelSpec
 from entropygof.sampling import Cauchy, Normal, SeedSpec, sample
 
 
@@ -238,6 +240,20 @@ class TestCmdCalibrate:
         assert code == 2 and out == ""
         assert "n > 2" in err
         assert not cache.exists()
+
+    def test_design_named_by_k(self, tmp_path, capsys):
+        # the critical depends on the model through k alone, so k is the only model option
+        code, out, _ = run_cli(capsys, ["calibrate", "--help"])
+        assert code == 0 and "--k K" in out
+        assert "--beta" not in out and "--sigma2" not in out
+        cache = tmp_path / "cal.txt"
+        argv = ["calibrate", "--n", "40", "--trials", "1000", "--seed", "5", "--cache", str(cache)]
+        criticals = [float(parse_report(run_cli(capsys, argv + k)[1])["critical"]) for k in ([], ["--k", "3"])]
+        model = LinearModelSpec(beta=(1.0, 5.0, -2.0), sigma2=4.0)
+        assert criticals[0] != criticals[1] == float(f"{lilliefors_critical(model, 40, 0.05, 1000, 5):.6g}")
+        assert [line.split(",")[2] for line in cache.read_text().splitlines()[1:]] == ["2", "3"]
+        code, out, err = run_cli(capsys, ["calibrate", "--n", "40", "--k", "0", "--trials", "1000"])
+        assert code == 2 and out == "" and "--k must be at least 1" in err
 
     def test_alpha_one_is_usage_error(self, tmp_path, capsys):
         # alpha = 1 would make every residual distance critical at 0

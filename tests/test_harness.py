@@ -79,6 +79,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="master_seed"):
             small_config(master_seed=master_seed)
 
+    @pytest.mark.parametrize("master_seed", [2.5, math.nan, "7"])
+    def test_master_seed_not_an_integer(self, master_seed):
+        # 2.5 would be truncated to the streams of master seed 2
+        with pytest.raises(ValueError, match=f"master_seed must be an unsigned 64-bit integer, got {master_seed!r}"):
+            small_config(master_seed=master_seed)
+
+    @pytest.mark.parametrize("field", ["trials", "lilliefors_trials"])
+    def test_trials_fit_a_row_of_streams(self, field):
+        # row r owns streams r * 2**32, ..., r * 2**32 + 2**32 - 1; no trial runs here
+        with pytest.raises(ValueError, match=rf"{field} = 4294967301 exceeds 2\*\*32.*sampling.first_stream"):
+            small_config(**{field: 2**32 + 5})
+        assert getattr(small_config(**{field: 2**32}), field) == 2**32
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+    def test_label_breaks_csv_row(self, label):
+        # checked when the config is built, before any trial runs
+        with pytest.raises(ValueError, match="may not contain commas or line breaks"):
+            small_config(labels=(label, "ok"))
+
     def test_label_mismatch(self):
         with pytest.raises(ValueError):
             small_config(labels=("only-one",))
@@ -357,8 +376,8 @@ class TestBlockWords:
         monkeypatch.setattr(ks, "seed_blocks", recording)
         model = LinearModelSpec(beta=(1.0, 5.0, -2.0), sigma2=4.0)
         ks.lilliefors_critical(model, 40, 0.05, 1000, 9)
-        # calibration trials draw the null errors, so their blocks keep the plain budget
-        assert seen == [(3 * 40, model.null_errors())]
+        # calibration trials draw N(0, 1) errors, so their blocks keep the plain budget
+        assert seen == [(3 * 40, Normal(0.0, 1.0))]
 
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
     def test_preset_ar_paths(self, monkeypatch, test):
@@ -441,7 +460,8 @@ def _bytes(values) -> list[bytes]:
 def test_block_statistic_matches_library(test, n):
     """A test kind's block statistic is, row for row and byte for byte, the
     statistic of the library's single-dataset test on the same stream; the
-    ks-regression block at the null errors is the calibration trial's."""
+    ks-regression block at the canonical null of the design (beta = 0,
+    N(0, 1) errors) is the calibration trial's."""
     kind = hz.TEST_KINDS[test]
     null = DEFAULT_MODEL if kind.regression else Normal(0.0, 1.0)
     alts = _REGRESSION_ALTS if kind.regression else _SIMPLE_ALTS
@@ -453,7 +473,8 @@ def test_block_statistic_matches_library(test, n):
         block = kind.statistic(context, alt, n, first, len(seeds))
         assert _bytes(block) == _bytes(_library_statistic(test, null, alt, n, seed) for seed in seeds)
     if test == "ks-regression":
-        block = kind.statistic(context, null.null_errors(), n, first, len(seeds))
+        canonical = kind.context(replace(config, null_spec=LinearModelSpec((0.0, 0.0), 1.0)))
+        block = kind.statistic(canonical, Normal(0.0, 1.0), n, first, len(seeds))
         assert _bytes(block) == _bytes(null_trial_ks_distance(null, n, seed) for seed in seeds)
 
 
@@ -476,6 +497,13 @@ class TestCsv:
         row = hz.PowerRow("et-simple", "bad,label", 25, 0.05, 100, 5)
         with pytest.raises(ValueError):
             hz.emit_power_csv(hz.PowerTable([row]), tmp_path / "no.csv")
+
+    @pytest.mark.parametrize("label", ["two\nlines", "two\rlines", "two\r\nlines"])
+    def test_line_break_label_rejected(self, label):
+        # a line break would split the row into two broken CSV lines
+        row = hz.PowerRow("et-simple", label, 25, 0.05, 100, 5)
+        with pytest.raises(ValueError, match="may not contain commas or line breaks"):
+            hz.power_csv_line(row)
 
 
 class TestSvg:
@@ -619,6 +647,23 @@ class TestConfigFile:
         assert cfg.lilliefors_trials == hz.PowerStudyConfig.lilliefors_trials
 
     @pytest.mark.parametrize(
+        "key,value,expected",
+        [
+            ("trials", "1e3", "an integer"),
+            ("alpha", "five%", "a number"),
+            ("master_seed", "0x10", "an integer"),
+            ("lilliefors_trials", "2e4", "an integer"),
+            ("sample_sizes", "25, 5O", "an integer"),
+            ("beta", "1, five", "a number"),
+            ("sigma2", "4,0", "a number"),
+        ],
+    )
+    def test_value_error_names_key(self, key, value, expected):
+        pairs = {"test": "ks-regression", "alternatives": "normal:0:2", "sample_sizes": "50", key: value}
+        with pytest.raises(ValueError, match=f"^config key '{key}' takes {expected}: "):
+            hz.config_from_pairs(pairs)
+
+    @pytest.mark.parametrize(
         "test,extra,unread",
         [
             ("et-simple", {"trails": "100"}, "trails"),
@@ -695,6 +740,23 @@ def test_benchmark_tracer_spans_hit():
         | {"kstest.statistic", "numerics.normal_cdf", "numerics.normal_quantile"}
         | {"kstest.calibration", "kstest.calibration_trial", "kstest.cache_lookup"},
     }
+
+
+@pytest.mark.parametrize("workload", ["et-simple", "ks-simple", "regression"])
+def test_benchmark_plan(tmp_path, monkeypatch, workload):
+    """perfbench/study.py --plan sets a workload's studies up from the package
+    as every benchmark pass does, so a package change that breaks that set-up
+    fails here: it exits 0 and lists each preset with table_config's rows."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    argv = [sys.executable, str(root / "perfbench" / "study.py"), "--workload", workload, "--seed", "7"]
+    run = subprocess.run([*argv, "--out", str(tmp_path), "--plan"], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    presets = importlib.import_module("study").WORKLOADS[workload]["presets"]
+    studies = json.loads((tmp_path / "plan.json").read_text())["studies"]
+    expected = {name: len(table_config(name).alternatives) * len(table_config(name).sample_sizes) for name in presets}
+    assert {name: study["rows"] for name, study in studies.items()} == expected
 
 
 def test_bundled_tables_cover_references():

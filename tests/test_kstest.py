@@ -25,7 +25,7 @@ def _put_records(path, writer: int, count: int, start) -> None:
     cache = ks.CalibrationCache(path)
     start.wait(timeout=60)
     for i in range(count):
-        cache.put(100 + i, 0.05, "abc", 1000, writer, 0.001 * i + writer)
+        cache.put(100 + i, 0.05, 2, 1000, writer, 0.001 * i + writer)
 
 
 class TestStatistic:
@@ -198,6 +198,11 @@ class TestLilliefors:
         with pytest.raises(ValueError, match=match):
             ks.lilliefors_critical(self.model, n, alpha, trials, 1, _NoCache())
 
+    def test_trials_fit_a_row_of_streams(self):
+        # trial t at n draws stream 2**62 + n * 2**32 + t, so t < 2**32; no trial runs here
+        with pytest.raises(ValueError, match=r"trials = 4294967301 exceeds 2\*\*32.*sampling.first_stream"):
+            ks.lilliefors_critical(self.model, 50, 0.05, 2**32 + 5, 1, _NoCache())
+
     def test_deterministic(self):
         a = ks.lilliefors_critical(self.model, 60, 0.05, 1500, 9)
         b = ks.lilliefors_critical(self.model, 60, 0.05, 1500, 9)
@@ -219,7 +224,7 @@ class TestLilliefors:
         cold = ks.lilliefors_critical(self.model, 30, other, 1000, 9)
         assert cold != ks.lilliefors_critical(self.model, 30, warm, 1000, 9)
         assert ks.lilliefors_critical(self.model, 30, other, 1000, 9, ks.CalibrationCache(path)) == cold
-        assert ks.CalibrationCache(path).get(30, other, ks.design_hash(self.model), 1000, 9) == cold
+        assert ks.CalibrationCache(path).get(30, other, self.model.k, 1000, 9) == cold
         assert f"30,{other!r}," in path.read_text()
 
     def test_block_size_does_not_change_value(self, monkeypatch):
@@ -248,44 +253,44 @@ class TestCalibrationCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cal.txt"
         cache = ks.CalibrationCache(path)
-        assert cache.get(100, 0.05, "abc", 1000, 7) is None
-        cache.put(100, 0.05, "abc", 1000, 7, 0.0815)
-        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.0815
+        assert cache.get(100, 0.05, 2, 1000, 7) is None
+        cache.put(100, 0.05, 2, 1000, 7, 0.0815)
+        assert cache.get(100, 0.05, 2, 1000, 7) == 0.0815
         reloaded = ks.CalibrationCache(path)
-        assert reloaded.get(100, 0.05, "abc", 1000, 7) == 0.0815
+        assert reloaded.get(100, 0.05, 2, 1000, 7) == 0.0815
         text = path.read_text()
         assert text.startswith("#")
-        assert "100,0.05,abc,1000,7," in text
+        assert "100,0.05,2,1000,7," in text
 
     def test_ignores_junk_lines(self, tmp_path):
         path = tmp_path / "cal.txt"
-        path.write_text("# header\nnot,a,record\n100,0.05,abc,1000,7,0.08\n")
+        path.write_text("# header\nnot,a,record\n100,0.05,2,1000,7,0.08\n")
         cache = ks.CalibrationCache(path)
-        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+        assert cache.get(100, 0.05, 2, 1000, 7) == 0.08
 
     def test_malformed_record_skipped(self, tmp_path):
         path = tmp_path / "cal.txt"
-        path.write_text("# header\n50,0.05,abc,1000,1,0.1xyz\n60,inf,abc,1000,1,0.1\n100,0.05,abc,1000,7,0.08\n")
+        path.write_text("# header\n50,0.05,2,1000,1,0.1xyz\n60,inf,2,1000,1,0.1\n100,0.05,2,1000,7,0.08\n")
         cache = ks.CalibrationCache(path)
-        assert cache.get(50, 0.05, "abc", 1000, 1) is None
-        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+        assert cache.get(50, 0.05, 2, 1000, 1) is None
+        assert cache.get(100, 0.05, 2, 1000, 7) == 0.08
 
     def test_torn_last_line_ignored(self, tmp_path):
         # the append of 0.1234 stopped after "0.12"
         path = tmp_path / "cal.txt"
-        path.write_text("# header\n100,0.05,abc,1000,7,0.08\n50,0.05,abc,1000,1,0.12")
+        path.write_text("# header\n100,0.05,2,1000,7,0.08\n50,0.05,2,1000,1,0.12")
         cache = ks.CalibrationCache(path)
-        assert cache.get(50, 0.05, "abc", 1000, 1) is None
-        assert cache.get(100, 0.05, "abc", 1000, 7) == 0.08
+        assert cache.get(50, 0.05, 2, 1000, 1) is None
+        assert cache.get(100, 0.05, 2, 1000, 7) == 0.08
 
     def test_put_after_torn_line(self, tmp_path):
         path = tmp_path / "cal.txt"
-        path.write_text("# header\n50,0.05,abc,1000,1,0.12")
-        ks.CalibrationCache(path).put(100, 0.05, "abc", 1000, 7, 0.0815)
-        assert path.read_text().endswith("100,0.05,abc,1000,7,0.0815\n")
+        path.write_text("# header\n50,0.05,2,1000,1,0.12")
+        ks.CalibrationCache(path).put(100, 0.05, 2, 1000, 7, 0.0815)
+        assert path.read_text().endswith("100,0.05,2,1000,7,0.0815\n")
         reloaded = ks.CalibrationCache(path)
-        assert reloaded.get(100, 0.05, "abc", 1000, 7) == 0.0815
-        assert reloaded.get(50, 0.05, "abc", 1000, 1) is None
+        assert reloaded.get(100, 0.05, 2, 1000, 7) == 0.0815
+        assert reloaded.get(50, 0.05, 2, 1000, 1) is None
 
     def test_two_concurrent_writers(self, tmp_path):
         path = tmp_path / "cal.txt"
@@ -308,31 +313,49 @@ class TestCalibrationCache:
         cache = ks.CalibrationCache(path)
         for w in range(2):
             for i in range(200):
-                assert cache.get(100 + i, 0.05, "abc", 1000, w) == 0.001 * i + w
+                assert cache.get(100 + i, 0.05, 2, 1000, w) == 0.001 * i + w
 
     def test_lilliefors_critical_uses_cache(self, tmp_path):
         model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
         cache = ks.CalibrationCache(tmp_path / "cal.txt")
         first = ks.lilliefors_critical(model, 40, 0.05, 1000, 3, cache)
         # poison the stored value; a cache hit must return it verbatim
-        key_hash = ks.design_hash(model)
-        cache.put(40, 0.05, key_hash, 1000, 3, 0.123456)
+        cache.put(40, 0.05, model.k, 1000, 3, 0.123456)
         assert ks.lilliefors_critical(model, 40, 0.05, 1000, 3, cache) == 0.123456
         fresh = ks.CalibrationCache(tmp_path / "other.txt")
         assert ks.lilliefors_critical(model, 40, 0.05, 1000, 3, fresh) == first
 
-    def test_design_hash_depends_on_k(self):
+    def test_cache_keyed_by_k(self, tmp_path):
+        # one record per k: a model of three coefficients does not read the
+        # record of two, and the record is written with k in plain digits
+        path = tmp_path / "cal.txt"
         m2 = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
         m3 = LinearModelSpec(beta=(1.0, 5.0, 2.0), sigma2=4.0)
-        assert ks.design_hash(m2) != ks.design_hash(m3)
-        assert ks.design_hash(m2) != ks.design_hash(LinearModelSpec(beta=(0.0, 0.0), sigma2=1.0))
-        assert ks.design_hash(m2) == ks.design_hash(LinearModelSpec(beta=(1, 5), sigma2=4))
+        two = ks.lilliefors_critical(m2, 40, 0.05, 1000, 3, ks.CalibrationCache(path))
+        three = ks.lilliefors_critical(m3, 40, 0.05, 1000, 3, ks.CalibrationCache(path))
+        assert two != three
+        assert ks.lilliefors_critical(m3, 40, 0.05, 1000, 3) == three
+        records = path.read_text().splitlines()
+        assert records[1:] == [f"40,0.05,2,1000,3,{two!r}", f"40,0.05,3,1000,3,{three!r}"]
+        assert records[0] == "# n,alpha,k,trials,master_seed,critical"
 
     def test_cache_keyed_by_model(self, tmp_path):
-        # residuals of (2, 3; 4) and (1, 5; 4) round differently, so their
-        # criticals differ in the last bits though the design rule is the same
-        warm, other = (LinearModelSpec(beta=b, sigma2=4.0) for b in ((2.0, 3.0), (1.0, 5.0)))
-        cold = ks.lilliefors_critical(other, 50, 0.05, 2000, 123456789)
+        # the calibration runs at the canonical null of the design, so every
+        # model of k = 2 has the cold critical bit for bit, whichever warmed the cache
+        designs = (((2.0, 3.0), 4.0), ((1.0, 5.0), 4.0), ((0.0, 0.0), 1.0))
+        models = [LinearModelSpec(beta=b, sigma2=s) for b, s in designs]
+        cold = ks.lilliefors_critical(models[1], 50, 0.05, 2000, 123456789)
+        assert cold == 0.12552818972052973
         cache = ks.CalibrationCache(tmp_path / "cal.txt")
-        assert ks.lilliefors_critical(warm, 50, 0.05, 2000, 123456789, cache) != cold
-        assert ks.lilliefors_critical(other, 50, 0.05, 2000, 123456789, cache) == cold
+        assert [ks.lilliefors_critical(m, 50, 0.05, 2000, 123456789, cache) for m in models] == [cold] * 3
+
+    @pytest.mark.parametrize("design_id", ["b1b165ff4d1b", "000000000002"])
+    def test_earlier_format_never_served(self, tmp_path, design_id):
+        # b1b165ff4d1b is the 12-hex SHA-1 design id of (1, 5; 4) in the
+        # earlier format; a digits-only id must not read as k either
+        path = tmp_path / "cal.txt"
+        path.write_text(f"# n,alpha,design_hash,trials,master_seed,critical\n40,0.05,{design_id},1000,3,0.123456\n")
+        model = LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0)
+        assert ks.CalibrationCache(path).get(40, 0.05, model.k, 1000, 3) is None
+        cold = ks.lilliefors_critical(model, 40, 0.05, 1000, 3)
+        assert ks.lilliefors_critical(model, 40, 0.05, 1000, 3, ks.CalibrationCache(path)) == cold != 0.123456

@@ -23,6 +23,14 @@ class TestSeedSpec:
             sp.SeedSpec(0, 1 << 64)
         sp.SeedSpec(2**64 - 1, 2**64 - 1)  # boundary ok
 
+    @pytest.mark.parametrize("field", ["master_seed", "stream_id"])
+    @pytest.mark.parametrize("word", [1.5, 1.0, math.nan, "1"])
+    def test_key_words_are_integers(self, field, word):
+        # 1.5 would be truncated and draw the stream of SeedSpec(1, 1)
+        with pytest.raises(ValueError, match=f"{field} must be an unsigned 64-bit integer, got {word!r}"):
+            sp.SeedSpec(**{"master_seed": 1, "stream_id": 1, field: word})
+        assert sp.SeedSpec(np.uint64(1), np.int64(1)) == sp.SeedSpec(1, 1)
+
     def test_reproducible(self):
         seed = sp.SeedSpec(987654321, 13)
         a = sp.sample(sp.Normal(0, 1), 4096, seed)
