@@ -12,6 +12,7 @@ test use a disjoint stream range (first_stream, kstest).
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -74,22 +75,28 @@ CSV_HEADER = "test,alternative,n,alpha,trials,rejections,power,se"
 class TestKind:
     """One test of a power study, defined once.
 
-    context(config) runs once per study and returns what every trial reads
-    (it travels to the workers inside each chunk); statistic(context, alt,
-    n, seed, trials) runs the block of trials on streams seed.stream_id,
-    ..., seed.stream_id + trials - 1 of seed.master_seed and returns one
-    statistic per trial; critical(config, cache, n) is the critical
-    value at sample size n, taken once per n before the first row.  A trial
+    nulls are the null_spec types a study of the kind accepts; a
+    regression kind takes a LinearModelSpec.  context(config) runs once per
+    study and returns what every trial reads (it travels to the workers
+    inside each chunk); statistic(context, alt, n, seed, trials) runs the
+    block of trials on streams seed.stream_id, ..., seed.stream_id + trials
+    - 1 of seed.master_seed and returns one statistic per trial;
+    critical(config, cache, n) is the critical value at sample size n,
+    taken once per n before the first row.  A trial
     rejects when its statistic exceeds the critical value.  Entries call
     the layer functions by their names in this module, so tracing that
     rebinds those names sees every call.
     """
 
-    regression: bool
+    nulls: tuple[type, ...]
     min_n: int
     context: Callable
     statistic: Callable
     critical: Callable
+
+    @property
+    def regression(self) -> bool:
+        return self.nulls == (LinearModelSpec,)
 
 
 def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
@@ -134,19 +141,29 @@ def _null_model(config: PowerStudyConfig) -> LinearModelSpec:
     return config.null_spec
 
 
+# et-simple's nulls have a CF constraint (moments.null_constraint); ks-simple's
+# have a marginal distribution (sampling.cdf)
+_ET_NULLS = (Normal, Cauchy)
+_KS_NULLS = (Normal, Uniform, Exponential, Cauchy, StudentT, CenteredLogNormal)
+
 TEST_KINDS: dict[str, TestKind] = {
-    # name: TestKind(regression, min_n, context, statistic, critical); the et-simple
+    # name: TestKind(nulls, min_n, context, statistic, critical); the et-simple
     # context holds the null's quadrature target, computed once per study
-    "et-simple": TestKind(False, 2, lambda c: null_constraint(c.null_spec), _et_simple_statistic, _chi2_critical),
-    "ks-simple": TestKind(False, 1, lambda c: partial(cdf, c.null_spec), _ks_simple_statistic, _ks_simple_critical),
-    "et-regression": TestKind(True, 4, _null_model, _et_regression_statistic, _chi2_critical),
+    "et-simple": TestKind(_ET_NULLS, 2, lambda c: null_constraint(c.null_spec), _et_simple_statistic, _chi2_critical),
+    "ks-simple": TestKind(_KS_NULLS, 1, lambda c: partial(cdf, c.null_spec), _ks_simple_statistic, _ks_simple_critical),
+    "et-regression": TestKind((LinearModelSpec,), 4, _null_model, _et_regression_statistic, _chi2_critical),
     # the lambda looks ensure_lilliefors_table up at each call, so a rebinding of the name is seen
-    "ks-regression": TestKind(True, 4, _null_model, _ks_regression_statistic, lambda *a: ensure_lilliefors_table(*a)),
+    "ks-regression": TestKind(
+        (LinearModelSpec,), 4, _null_model, _ks_regression_statistic, lambda *a: ensure_lilliefors_table(*a)
+    ),
 }
 
-# the nulls of a simple study have a marginal distribution; et-simple's
-# context also needs a CF constraint for its null, which null_constraint checks
-_SIMPLE_NULLS = (Normal, Uniform, Exponential, Cauchy, StudentT, CenteredLogNormal)
+
+def _check_count(name: str, value) -> None:
+    """A count of trials, observations or workers is an integer: a float
+    would run int(value) of them and report value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,23 +185,25 @@ class PowerStudyConfig:
             raise ValueError(f"test must be one of {tuple(TEST_KINDS)}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        for name in ("trials", "lilliefors_trials"):
+            _check_count(name, getattr(self, name))
+            check_row_trials(name, getattr(self, name))
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
-        for name in ("trials", "lilliefors_trials"):
-            check_row_trials(name, getattr(self, name))
         SeedSpec(self.master_seed)  # every trial stream is keyed by an unsigned 64-bit master seed
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
         kind = TEST_KINDS[self.test]
+        for n in self.sample_sizes:
+            _check_count("sample_sizes entry", n)
         if not self.sample_sizes or any(n < kind.min_n for n in self.sample_sizes):
             raise ValueError(f"{self.test} needs sample sizes >= {kind.min_n}")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             # two rows with one (alternative, n) key would report different results
             raise ValueError(f"sample sizes repeat in {self.sample_sizes}; give each n once")
-        if kind.regression and not isinstance(self.null_spec, LinearModelSpec):
-            raise ValueError("regression tests need a LinearModelSpec null")
-        if not kind.regression and not isinstance(self.null_spec, _SIMPLE_NULLS):
-            raise ValueError("simple tests need an iid distribution null, not a model or a process")
+        if not isinstance(self.null_spec, kind.nulls):
+            accepted = ", ".join(cls.__name__ for cls in kind.nulls)
+            raise ValueError(f"{self.test} takes a null of type {accepted}, got {self.null_spec!r}")
         if any(isinstance(alt, LinearModelSpec) for alt in self.alternatives):
             raise ValueError("alternatives are distributions or error processes, not model specs")
         if self.labels is not None and len(self.labels) != len(self.alternatives):
@@ -288,6 +307,7 @@ def run_power_study(
     trials (DegenerateTrialError) are tallied per row, and a rate above 0.1%
     aborts the run; any other error propagates.
     """
+    _check_count("workers", workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kind = TEST_KINDS[config.test]

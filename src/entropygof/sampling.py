@@ -7,12 +7,19 @@ by construction.  A block of trials is the SeedSpec of its first stream
 and a count: row b draws stream stream_id + b, and one Philox re-keyed per
 row yields them all (uniform_block).  first_stream states which streams a
 study draws.  All continuous draws are derived from uniforms on the open
-interval (0, 1); normals come from the package's own quantile function so
-that output is bit-identical across platforms.
+interval (0, 1), and normals come from the package's own quantile function.
+
+What is bit-stable: the uniforms, wherever the Philox/Lemire equality test
+in tests/test_sampling.py passes; the draws and statistics, for one numpy
+build, one CPU dispatch level and one BLAS kernel (numpy's SIMD log, exp
+and tan, and the BLAS kernel, can move their last bits); and the power CSVs
+and Lilliefors criticals, on every dispatch level and kernel tried so far
+(README, reproducibility contract).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import MISSING, astuple, dataclass, field, fields
@@ -49,11 +56,11 @@ __all__ = [
 
 _U64_MAX = 2**64 - 1
 # uniform words (64 bits each) per block of trials: a block holds
-# max(1, _BLOCK_WORDS // w) trials that draw w words each, with 8 times the
+# max(1, _BLOCK_WORDS // w) trials that draw w words each, with 4 times the
 # budget when their AR errors step over time (seed_blocks).  The budget
 # bounds the draw's temporaries, which set peak memory, while a wide block
 # shares numpy's fixed cost per call among many rows (README, Layout)
-_BLOCK_WORDS = 16384
+_BLOCK_WORDS = 32768
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,27 @@ def check_row_trials(name: str, trials: int) -> None:
         raise ValueError(f"{name} = {trials} exceeds 2**32, the streams of one row (sampling.first_stream)")
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Keep the memory that blocks free in this process's heap, once per
+    process: glibc would trim the top of the heap back to the kernel above
+    128 KiB free and send arrays of 128 KiB or more to mmap, so that every
+    block faults its temporaries' pages in afresh.  Both thresholds go to
+    the ceilings that glibc's own dynamic policy reaches on 64-bit, and the
+    freed heap kept can never exceed the peak that the blocks already
+    reached.  A libc without mallopt (macOS, Windows) is left as it is;
+    musl's is a stub.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def seed_blocks(
     master_seed: int, first: int, stop: int, words: int, spec: DistributionSpec
 ) -> Iterator[tuple[SeedSpec, int]]:
@@ -97,13 +125,16 @@ def seed_blocks(
     (fewer in the last) that each draw `words` uniform words (uniform_words,
     regression.trial_words) and whose values, or errors, follow spec.
 
-    The budget is _BLOCK_WORDS, or 8 times that when spec's AR recursion
+    The budget is _BLOCK_WORDS, or 4 times that when spec's AR recursion
     steps over time (an ARProcess that is not a random walk): a block of at
     least _AR_STEP_ROWS rows then steps at every preset n, and the draw's
-    temporaries stay within a few MB (README, Layout).
+    temporaries stay within a few MB (README, Layout).  Both block loops,
+    the power study's and the Lilliefors calibration's, walk their range
+    here, so the first walk in a process also keeps its heap (_keep_heap).
     """
+    _keep_heap()
     steps = isinstance(spec, ARProcess) and not spec.is_random_walk
-    block = max(1, (8 * _BLOCK_WORDS if steps else _BLOCK_WORDS) // words)
+    block = max(1, (4 * _BLOCK_WORDS if steps else _BLOCK_WORDS) // words)
     for lo in range(first, stop, block):
         yield SeedSpec(master_seed, lo), min(block, stop - lo)
 
@@ -289,7 +320,7 @@ DistributionSpec = Union[
 _AR_BURN_IN = 100
 # blocks of at least this many rows run the AR recursion one time step at a
 # time across all rows; narrower ones run it row by row.  seed_blocks gives
-# trials with such errors 8 times the word budget, so every full AR block is
+# trials with such errors 4 times the word budget, so every full AR block is
 # this wide at the preset n; the row path serves a chunk's tail, a halved
 # spoiled block, a single trial and wider trials (n > 1998 at k = 2)
 # (README, Layout)

@@ -2,6 +2,8 @@ import importlib
 import json
 import math
 import os
+import platform
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -92,6 +94,27 @@ class TestConfigValidation:
             small_config(**{field: 2**32 + 5})
         assert getattr(small_config(**{field: 2**32}), field) == 2**32
 
+    @pytest.mark.parametrize("field", ["trials", "lilliefors_trials"])
+    @pytest.mark.parametrize(
+        "value", [400.5, 1000.0, True, np.float64(1000.0)], ids=["400.5", "1000.0", "True", "np.float64"]
+    )
+    def test_trials_not_an_integer(self, field, value):
+        # trials = 400.5 ran 400 trials and wrote 400.5 in the CSV's trials column
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            small_config(**{field: value})
+        assert getattr(small_config(**{field: np.int64(1000)}), field) == 1000
+
+    @pytest.mark.parametrize("n", [25.5, 25.0, True])
+    def test_sample_size_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"sample_sizes entry must be an integer, got {n!r}")):
+            small_config(sample_sizes=(50, n))
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    def test_workers_not_an_integer(self, workers):
+        # checked before the critical values are taken or the pool starts
+        with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, got {workers!r}")):
+            hz.run_power_study(small_config(), workers=workers)
+
     @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
     def test_label_breaks_csv_row(self, label):
         # checked when the config is built, before any trial runs
@@ -103,9 +126,11 @@ class TestConfigValidation:
             small_config(labels=("only-one",))
 
     def test_et_simple_null_must_be_normal_or_cauchy(self):
-        cfg = small_config(null_spec=Uniform(0, 1))
-        with pytest.raises(ValueError):
-            hz.run_power_study(cfg)
+        # checked when the config is built, not when the study starts
+        for null in (Uniform(0, 1), Exponential(), StudentT(3), ARProcess((0.5,))):
+            with pytest.raises(ValueError, match="et-simple takes a null of type Normal, Cauchy"):
+                small_config(null_spec=null)
+        assert small_config(null_spec=Cauchy(1.0, 2.0)).null_spec == Cauchy(1.0, 2.0)
 
     def test_ks_simple_null_needs_cdf(self):
         with pytest.raises(ValueError, match="null"):
@@ -343,7 +368,7 @@ class TestRunPowerStudy:
         assert all(isinstance(r, hz.PowerRow) for r in seen)
 
 
-def _block_lengths(monkeypatch, test, alt, n, context, trials=1000):
+def _block_lengths(monkeypatch, test, alt, n, context, trials=4000):
     """The trials per block of one chunk, seen by a stub statistic."""
     lengths = []
 
@@ -757,6 +782,37 @@ def test_benchmark_plan(tmp_path, monkeypatch, workload):
     studies = json.loads((tmp_path / "plan.json").read_text())["studies"]
     expected = {name: len(table_config(name).alternatives) * len(table_config(name).sample_sizes) for name in presets}
     assert {name: study["rows"] for name, study in studies.items()} == expected
+
+
+_FAULTS_SCRIPT = """
+import json, resource
+import entropygof as eg
+faults = {}
+for test in ("ks-simple", "et-simple"):
+    cfg = eg.PowerStudyConfig(
+        test=test, alternatives=(eg.StudentT(3), eg.Cauchy(0.0, 1.0)), sample_sizes=(1000,), trials=400
+    )
+    eg.run_power_study(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    eg.run_power_study(cfg)
+    faults[test] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are set through glibc's mallopt")
+def test_blocks_keep_their_heap():
+    """A study run again in one process takes next to no page faults: the
+    memory its blocks free stays in the heap (sampling._keep_heap), where
+    glibc would trim it and send each block's temporaries of 128 KiB or more
+    to mmap, so that every block faulted them in afresh (about 11,000 faults
+    per study without it)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    faults = json.loads(run.stdout)
+    assert set(faults) == {"ks-simple", "et-simple"}
+    assert all(count < 100 for count in faults.values()), faults
 
 
 def test_bundled_tables_cover_references():

@@ -260,7 +260,7 @@ class TestBlocks:
     @given(
         first=st.integers(0, 2**63),
         trials=st.integers(0, 3000),
-        words=st.integers(1, 3 * 8 * sp._BLOCK_WORDS),
+        words=st.integers(1, 3 * 4 * sp._BLOCK_WORDS),
         spec=st.sampled_from(_MENU),
     )
     def test_seed_blocks_cover_the_range_within_budget(self, first, trials, words, spec):
@@ -268,10 +268,10 @@ class TestBlocks:
         streams = [seed.stream_id + b for seed, count in blocks for b in range(count)]
         assert streams == list(range(first, first + trials))
         assert all(seed.master_seed == 7 for seed, _ in blocks)
-        # a trial whose AR recursion steps over time gets 8 times the budget;
+        # a trial whose AR recursion steps over time gets 4 times the budget;
         # only a single trial may draw more words than its block's budget
         steps = isinstance(spec, sp.ARProcess) and not spec.is_random_walk
-        budget = 8 * sp._BLOCK_WORDS if steps else sp._BLOCK_WORDS
+        budget = 4 * sp._BLOCK_WORDS if steps else sp._BLOCK_WORDS
         assert all(count == 1 or count * words <= budget for _, count in blocks)
         assert all(count == max(1, budget // words) for _, count in blocks[:-1])
         if not steps:
