@@ -6,6 +6,7 @@ Subcommands:
   calibrate  compute and cache a KS critical value for the regression test
   tables     reproduce a bundled reference table (a1..a6)
 
+simulate and tables run their study through one runner (_run_study).
 Exit codes for `test`: 0 = null not rejected, 1 = rejected, 2 = usage or
 input error.  Other subcommands: 0 on success, 2 on usage/config errors.
 """
@@ -16,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -130,17 +132,20 @@ def _resolve_config(text: str):
     raise CliError(f"config file not found (and not a bundled preset name): {text}")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, master_seed=args.seed)
+def _run_study(config: PowerStudyConfig, args: argparse.Namespace):
+    """The study of simulate and tables: --workers, --cache and the progress lines unless --quiet."""
     cache = CalibrationCache(args.cache) if args.cache else None
-    table = run_power_study(
+    return run_power_study(
         config, workers=args.workers, cache=cache,
         progress=_progress_printer if not args.quiet else None,
     )
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    config = _resolve_config(args.config)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
+    table = _run_study(config, args)
     emit_power_csv(table, args.out)
     print(f"wrote {args.out}")
     if args.svg:
@@ -167,19 +172,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    name = args.which.lower()
-    if name not in TABLE_NAMES:
-        raise CliError(f"unknown table {args.which!r}; expected one of {', '.join(TABLE_NAMES)}")
     seed = args.seed if args.seed is not None else _default_seed()
-    config = table_config(name, trials=args.trials, master_seed=seed)
-    cache = CalibrationCache(args.cache) if args.cache else None
-    table = run_power_study(
-        config, workers=args.workers, cache=cache,
-        progress=_progress_printer if not args.quiet else None,
-    )
+    table = _run_study(table_config(args.which, trials=args.trials, master_seed=seed), args)
     lines = [f"{CSV_HEADER},reference"]
     for row in table.rows:
-        lines.append(f"{power_csv_line(row)},{reference_value(name, row.alternative, row.n):.6g}")
+        lines.append(f"{power_csv_line(row)},{reference_value(args.which, row.alternative, row.n):.6g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -249,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, LookupError) as exc:
+    except (CliError, ValueError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

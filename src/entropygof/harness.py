@@ -12,7 +12,6 @@ test use a disjoint stream range (first_stream, kstest).
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,6 +44,7 @@ from .sampling import (
     StudentT,
     Uniform,
     cdf,
+    check_count,
     check_row_trials,
     first_stream,
     parse_distribution,
@@ -159,13 +159,6 @@ TEST_KINDS: dict[str, TestKind] = {
 }
 
 
-def _check_count(name: str, value) -> None:
-    """A count of trials, observations or workers is an integer: a float
-    would run int(value) of them and report value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PowerStudyConfig:
     """Everything needed to reproduce one rejection-rate grid."""
@@ -186,16 +179,14 @@ class PowerStudyConfig:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("trials", "lilliefors_trials"):
-            _check_count(name, getattr(self, name))
-            check_row_trials(name, getattr(self, name))
+            object.__setattr__(self, name, check_row_trials(name, getattr(self, name)))
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
         SeedSpec(self.master_seed)  # every trial stream is keyed by an unsigned 64-bit master seed
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
         kind = TEST_KINDS[self.test]
-        for n in self.sample_sizes:
-            _check_count("sample_sizes entry", n)
+        object.__setattr__(self, "sample_sizes", tuple(check_count("sample_sizes entry", n) for n in self.sample_sizes))
         if not self.sample_sizes or any(n < kind.min_n for n in self.sample_sizes):
             raise ValueError(f"{self.test} needs sample sizes >= {kind.min_n}")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
@@ -204,6 +195,9 @@ class PowerStudyConfig:
         if not isinstance(self.null_spec, kind.nulls):
             accepted = ", ".join(cls.__name__ for cls in kind.nulls)
             raise ValueError(f"{self.test} takes a null of type {accepted}, got {self.null_spec!r}")
+        if kind.regression and min(self.sample_sizes) <= self.null_spec.k:
+            k = self.null_spec.k  # more observations than coefficients
+            raise ValueError(f"{self.test} needs sample sizes > k = {k}, got {min(self.sample_sizes)}")
         if any(isinstance(alt, LinearModelSpec) for alt in self.alternatives):
             raise ValueError("alternatives are distributions or error processes, not model specs")
         if self.labels is not None and len(self.labels) != len(self.alternatives):
@@ -307,7 +301,7 @@ def run_power_study(
     trials (DegenerateTrialError) are tallied per row, and a rate above 0.1%
     aborts the run; any other error propagates.
     """
-    _check_count("workers", workers)
+    workers = check_count("workers", workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kind = TEST_KINDS[config.test]

@@ -25,8 +25,8 @@ except ImportError:  # no advisory file locks (Windows): puts are not serialised
     flock = None
 
 from .numerics import eval_vectorized
-from .results import TestResult
-from .sampling import Normal, check_row_trials, first_stream, seed_blocks
+from .results import TestResult, ks_decision
+from .sampling import Normal, SeedSpec, check_count, check_row_trials, first_stream, seed_blocks
 
 if TYPE_CHECKING:
     from .regression import LinearModelSpec
@@ -119,17 +119,9 @@ def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
     The reported p-value is the asymptotic simple-null one and is only
     meaningful when critical came from ks_critical_simple.
     """
-    if not critical > 0.0:
-        raise ValueError("critical must be positive")
     d = ks_statistic(data, null_cdf)
     n = len(np.atleast_1d(np.asarray(data)))
-    return TestResult(
-        statistic=d,
-        critical=critical,
-        p_value=kolmogorov_sf(_stephens_scale(n) * d),
-        reject=bool(d > critical),
-        method="ks",
-    )
+    return ks_decision(d, critical, kolmogorov_sf(_stephens_scale(n) * d), "ks")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +228,11 @@ def lilliefors_critical(
     """
     from .regression import null_trial_ks_distance, trial_words
 
+    n = check_count("n", n)
+    trials = check_row_trials("trials", trials)
     if trials < 1000:
         raise ValueError("calibration needs at least 1000 trials")
-    check_row_trials("trials", trials)
+    SeedSpec(master_seed)  # a float seed would share the cache records of its integer part
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if n <= model.k:

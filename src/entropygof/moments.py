@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .maxent import solve_maxent
-from .numerics import QuadratureSpec, integrate
+from .numerics import integrate
 from .results import TestResult, chi2_1_decision
 from .sampling import Cauchy, Normal
 
@@ -72,7 +72,7 @@ def normal_cf_integral(mu: float, sigma: float) -> float:
     def integrand(t):
         return np.cos(t * mu) * np.exp(-0.5 * s2 * t * t)
 
-    return integrate(integrand, -1.0, 1.0, QuadratureSpec(abs_tol=1e-10, max_subdivisions=64))
+    return integrate(integrand, -1.0, 1.0)
 
 
 def build_standard_normal_constraint() -> MomentConstraint:
@@ -99,7 +99,7 @@ def build_cf_constraint(cf_real: Callable, label: str = "cf-custom") -> MomentCo
     cf_real maps t to the (real) hypothesized characteristic function value;
     its integral over (-1, 1) becomes the target for the 2 sin(z)/z kernel.
     """
-    target = integrate(cf_real, -1.0, 1.0, QuadratureSpec(abs_tol=1e-10, max_subdivisions=64))
+    target = integrate(cf_real, -1.0, 1.0)
     return MomentConstraint(kernel=sinc_kernel, target=target, label=label)
 
 

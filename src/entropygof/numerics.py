@@ -13,10 +13,12 @@ numerical foundation of the test statistics is auditable end to end:
 one pass each: the widest regime (the middle one of ``erfc``, the central
 one of ``normal_quantile``) runs over the whole flattened array, and the
 others run only on the indices that fall in them, overwriting those
-entries.  Every regime keeps its coefficients, bounds and operation
-order, so a value does not depend on the array around it.  Polynomials
-are evaluated by Horner's rule in place (``out *= r; out += c``), the
-same two roundings per step as ``out * r + c``.
+entries.  ``erf`` runs its small regime and ``erfc``'s over the whole
+array and selects between them.  Every regime keeps its coefficients,
+bounds and operation order, so a value does not depend on the array
+around it.  Polynomials are evaluated by Horner's rule in place
+(``out *= r; out += c``), the same two roundings per step as
+``out * r + c``.
 
 All functions accept scalars or numpy arrays and are pure; they hold no
 shared mutable state and are safe to call concurrently.
@@ -189,14 +191,12 @@ def erf(x):
     """Error function, odd, values in (-1, 1); |error| below 1e-12."""
     arr, scalar = _as_float_array(x)
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
     a = np.abs(arr)
-    small = a <= 0.46875
-    if small.any():
-        out[small] = _erf_small(arr[small])
-    big = ~small
-    if big.any():
-        out[big] = np.sign(arr[big]) * (1.0 - _erfc_positive(a[big]))
+    # the small regime over every value: past it, x**8 overflows to inf / inf
+    # on values the erfc form replaces
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = _erf_small(arr)
+    out = np.where(a <= 0.46875, small, np.sign(arr) * (1.0 - _erfc_positive(a)))
     return float(out[0]) if scalar else out
 
 
@@ -346,7 +346,6 @@ def chi2_1_sf(x):
     if not (arr >= 0.0).all():  # NaN fails it
         raise ValueError("chi2_1_sf requires x >= 0")
     out = erfc(np.sqrt(arr / 2.0))
-    out = np.atleast_1d(out)
     return float(out[0]) if scalar else out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .kstest import ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
-from .results import TestResult, chi2_1_decision
+from .results import TestResult, chi2_1_decision, ks_decision
 from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_words
 
 __all__ = [
@@ -187,16 +187,7 @@ def run_regression_ks(y, X, critical: float) -> TestResult:
     sample size (kstest.lilliefors_critical); with estimated parameters
     there is no closed-form p-value, so none is reported.
     """
-    if not critical > 0.0:
-        raise ValueError("critical must be positive")
-    d = residual_ks_distance(y, X)
-    return TestResult(
-        statistic=d,
-        critical=critical,
-        p_value=None,
-        reject=bool(d > critical),
-        method="ks-regression",
-    )
+    return ks_decision(residual_ks_distance(y, X), critical, None, "ks-regression")
 
 
 def trial_words(model: LinearModelSpec, n: int, error_process: DistributionSpec | None = None) -> int:

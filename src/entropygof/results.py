@@ -46,3 +46,11 @@ def chi2_1_decision(statistic: float, alpha: float, method: str) -> TestResult:
         reject=bool(statistic > critical),
         method=method,
     )
+
+
+def ks_decision(statistic: float, critical: float, p_value: float | None, method: str) -> TestResult:
+    """Refer a KS distance to a supplied critical value, which must be
+    positive: the test rejects when the distance exceeds it."""
+    if not critical > 0.0:
+        raise ValueError("critical must be positive")
+    return TestResult(statistic, critical, p_value, bool(statistic > critical), method)

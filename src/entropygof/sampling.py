@@ -43,6 +43,7 @@ __all__ = [
     "sample",
     "sample_using",
     "first_stream",
+    "check_count",
     "check_row_trials",
     "seed_blocks",
     "uniform_block",
@@ -89,11 +90,24 @@ def first_stream(row: int, calibration: bool = False) -> int:
     return (1 << 62 if calibration else 0) + (row << 32)
 
 
-def check_row_trials(name: str, trials: int) -> None:
-    """Reject a count of trials that would run past the 2**32 streams of
-    its row of first_stream's layout into the next row's."""
+def check_count(name: str, value) -> int:
+    """A count of trials, observations or workers, as a Python int.
+
+    A float would run int(value) of them and report value, and a numpy
+    integer would overflow in the stream arithmetic of first_stream.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_row_trials(name: str, trials: int) -> int:
+    """check_count of a count of trials that may not run past the 2**32
+    streams of its row of first_stream's layout into the next row's."""
+    trials = check_count(name, trials)
     if trials > 1 << 32:
         raise ValueError(f"{name} = {trials} exceeds 2**32, the streams of one row (sampling.first_stream)")
+    return trials
 
 
 @functools.cache
@@ -186,6 +200,19 @@ def _require_finite(spec) -> None:
             raise ValueError(f"{type(spec).__name__} {f.name} must be finite")
 
 
+def _check_process(spec) -> None:
+    """The check of ARProcess and MAProcess: the coefficients (the first
+    field) become a non-empty tuple of finite floats, and the innovation
+    is an iid distribution."""
+    name = fields(spec)[0].name
+    object.__setattr__(spec, name, tuple(float(c) for c in getattr(spec, name)))
+    if not getattr(spec, name):
+        raise ValueError(f"{type(spec).__name__} needs at least one coefficient")
+    _require_finite(spec)
+    if isinstance(spec.innovation, _SERIAL):
+        raise ValueError("process innovations must be an iid distribution")
+
+
 @dataclass(frozen=True)
 class Normal:
     mu: float = 0.0
@@ -274,12 +301,7 @@ class ARProcess:
     innovation: "DistributionSpec" = field(default_factory=Normal)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
-        if len(self.rho) == 0:
-            raise ValueError("ARProcess needs at least one coefficient")
-        _require_finite(self)
-        if isinstance(self.innovation, (ARProcess, MAProcess)):
-            raise ValueError("process innovations must be an iid distribution")
+        _check_process(self)
 
     @property
     def is_random_walk(self) -> bool:
@@ -298,12 +320,7 @@ class MAProcess:
     innovation: "DistributionSpec" = field(default_factory=Normal)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        if len(self.theta) == 0:
-            raise ValueError("MAProcess needs at least one coefficient")
-        _require_finite(self)
-        if isinstance(self.innovation, (ARProcess, MAProcess)):
-            raise ValueError("process innovations must be an iid distribution")
+        _check_process(self)
 
 
 DistributionSpec = Union[
@@ -460,28 +477,17 @@ def _student_t_cdf(t: np.ndarray, dof: int) -> np.ndarray:
     x = np.abs(t)
     theta = np.arctan(x / math.sqrt(dof))
     s, c = np.sin(theta), np.cos(theta)
-    if dof % 2 == 1:
-        # A(t|dof) = (2/pi)(theta + sin*cos * sum c_j cos^{2j}), c_0=1, c_j = c_{j-1}*2j/(2j+1)
-        acc = np.zeros_like(x)
-        term = np.ones_like(x)
-        coef = 1.0
-        for j in range((dof - 1) // 2):
-            if j > 0:
-                coef *= (2.0 * j) / (2.0 * j + 1.0)
-                term = term * c * c
-            acc += coef * term
-        a = (2.0 / math.pi) * (theta + s * c * acc)
-    else:
-        # A(t|dof) = sin * sum d_j cos^{2j}, d_0=1, d_j = d_{j-1}*(2j-1)/(2j)
-        acc = np.zeros_like(x)
-        term = np.ones_like(x)
-        coef = 1.0
-        for j in range(dof // 2):
-            if j > 0:
-                coef *= (2.0 * j - 1.0) / (2.0 * j)
-                term = term * c * c
-            acc += coef * term
-        a = s * acc
+    # A(t|dof) = sin * sum (even dof) or (2/pi)(theta + sin*cos * sum) (odd), where sum
+    # = sum_{j < dof // 2} d_j cos^{2j}, d_0 = 1, d_j = d_{j-1} (2j - 1 + odd) / (2j + odd)
+    odd = dof % 2
+    acc = np.ones_like(x)
+    term = np.ones_like(x)
+    coef = 1.0
+    for j in range(1, dof // 2):
+        coef *= (2.0 * j - 1.0 + odd) / (2.0 * j + odd)
+        term = term * c * c
+        acc += coef * term
+    a = (2.0 / math.pi) * (theta + s * c * acc) if odd else s * acc
     return 0.5 * (1.0 + np.sign(t) * a)
 
 
@@ -497,7 +503,8 @@ def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
     elif isinstance(spec, Uniform):
         out = np.clip((arr - spec.low) / (spec.high - spec.low), 0.0, 1.0)
     elif isinstance(spec, Exponential):
-        out = np.where(arr >= spec.shift, -np.expm1(-spec.rate * (arr - spec.shift)), 0.0)
+        # fmax, not where: a value far below the shift would overflow expm1
+        out = -np.expm1(-spec.rate * np.fmax(arr - spec.shift, 0.0))
     elif isinstance(spec, Cauchy):
         out = 0.5 + np.arctan((arr - spec.loc) / spec.scale) / np.pi
     elif isinstance(spec, StudentT):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .harness import DEFAULT_SEED, PowerStudyConfig
+from .harness import DEFAULT_SEED, TEST_KINDS, PowerStudyConfig
 from .regression import DEFAULT_MODEL
 from .sampling import (
     ARProcess,
@@ -35,15 +35,10 @@ from .sampling import (
 
 __all__ = ["TABLE_NAMES", "table_config", "reference_value"]
 
-TABLE_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
-
 _NS = (25, 50, 100, 250, 500, 1000)
 _NS_REG = (50, 100, 250, 500, 1000)
 _SQRT3 = math.sqrt(3.0)
 _TWO_OVER_PI = 2.0 / math.pi
-
-_MEAN_LEVELS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-_SCALE_LEVELS = (1.0, 1.05, 1.1, 1.15, 1.2, 1.5, 2.0)
 
 _NON_NORMAL = (
     ("UniformC", Uniform(-_SQRT3, _SQRT3)),
@@ -66,6 +61,18 @@ _REG_ALTS = (
     ("AR(1)", ARProcess((1.0,), _REG_INNOV)),
     ("AR(0.5;0.25;0.125)", ARProcess((0.5, 0.25, 0.125), _REG_INNOV)),
 )
+
+# name -> (test kind, (row label, alternative) pairs, sample sizes); a
+# regression kind's null is DEFAULT_MODEL
+_PRESETS = {
+    "a1": ("et-simple", tuple((f"u={u:g}", Normal(u, 1.0)) for u in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)), _NS),
+    "a2": ("et-simple", tuple((f"sigma={s:g}", Normal(0.0, s)) for s in (1.0, 1.05, 1.1, 1.15, 1.2, 1.5, 2.0)), _NS),
+    "a3": ("et-simple", _NON_NORMAL, _NS),
+    "a4": ("ks-simple", _NON_NORMAL, _NS),
+    "a5": ("et-regression", _REG_ALTS, _NS_REG),
+    "a6": ("ks-regression", _REG_ALTS, _NS_REG),
+}
+TABLE_NAMES = tuple(_PRESETS)
 
 # Published rejection rates, row label -> {n: power}.
 _REFERENCE: dict[str, dict[str, dict[int, float]]] = {
@@ -134,34 +141,14 @@ def table_config(
     lilliefors_trials: int = PowerStudyConfig.lilliefors_trials,
 ) -> PowerStudyConfig:
     """PowerStudyConfig reproducing the named reference table."""
-    name = name.lower()
-    if name not in TABLE_NAMES:
-        raise ValueError(f"unknown table {name!r}; expected one of {TABLE_NAMES}")
-    if name == "a1":
-        labels, alts = zip(*((f"u={u:g}", Normal(u, 1.0)) for u in _MEAN_LEVELS))
-        return PowerStudyConfig(
-            test="et-simple", alternatives=alts, sample_sizes=_NS, trials=trials,
-            master_seed=master_seed, labels=labels,
-        )
-    if name == "a2":
-        labels, alts = zip(*((f"sigma={s:g}", Normal(0.0, s)) for s in _SCALE_LEVELS))
-        return PowerStudyConfig(
-            test="et-simple", alternatives=alts, sample_sizes=_NS, trials=trials,
-            master_seed=master_seed, labels=labels,
-        )
-    if name in ("a3", "a4"):
-        labels, alts = zip(*_NON_NORMAL)
-        return PowerStudyConfig(
-            test="et-simple" if name == "a3" else "ks-simple",
-            alternatives=alts, sample_sizes=_NS, trials=trials,
-            master_seed=master_seed, labels=labels,
-        )
-    labels, alts = zip(*_REG_ALTS)
+    if name.lower() not in _PRESETS:
+        raise ValueError(f"unknown table {name!r}; expected one of {', '.join(TABLE_NAMES)}")
+    test, labelled, sample_sizes = _PRESETS[name.lower()]
+    labels, alts = zip(*labelled)
     return PowerStudyConfig(
-        test="et-regression" if name == "a5" else "ks-regression",
-        alternatives=alts, sample_sizes=_NS_REG, trials=trials,
-        master_seed=master_seed, null_spec=DEFAULT_MODEL, labels=labels,
-        lilliefors_trials=lilliefors_trials,
+        test=test, alternatives=alts, sample_sizes=sample_sizes, trials=trials, master_seed=master_seed,
+        null_spec=DEFAULT_MODEL if TEST_KINDS[test].regression else PowerStudyConfig.null_spec,
+        labels=labels, lilliefors_trials=lilliefors_trials,
     )
 
 

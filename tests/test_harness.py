@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entropygof.harness as hz
 import entropygof.kstest as ks
@@ -29,7 +32,19 @@ from entropygof.regression import (
     run_regression_ks,
     simulate_model,
 )
-from entropygof.sampling import ARProcess, Cauchy, Exponential, Normal, SeedSpec, StudentT, Uniform, cdf, sample
+from entropygof.sampling import (
+    ARProcess,
+    Cauchy,
+    CenteredLogNormal,
+    Exponential,
+    MAProcess,
+    Normal,
+    SeedSpec,
+    StudentT,
+    Uniform,
+    cdf,
+    sample,
+)
 from entropygof.tables import table_config
 
 
@@ -114,6 +129,15 @@ class TestConfigValidation:
         # checked before the critical values are taken or the pool starts
         with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, got {workers!r}")):
             hz.run_power_study(small_config(), workers=workers)
+
+    @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
+    def test_regression_needs_more_observations_than_coefficients(self, test):
+        # n = k = 4 built, then failed inside the study: in simulate_model
+        # (et-regression) or in the calibration (ks-regression)
+        model = LinearModelSpec((1.0, 2.0, 3.0, 4.0), 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{test} needs sample sizes > k = 4")):
+            small_config(test=test, sample_sizes=(50, 4), null_spec=model)
+        assert small_config(test=test, sample_sizes=(5,), null_spec=model).sample_sizes == (5,)
 
     @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
     def test_label_breaks_csv_row(self, label):
@@ -703,6 +727,70 @@ class TestConfigFile:
             hz.config_from_pairs(pairs)
 
 
+def _counts(value: int):
+    """value, or value as a numpy integer, a float or a bool."""
+    return st.one_of(st.just(value), st.sampled_from((np.int64, np.uint16, float, bool)).map(lambda t: t(value)))
+
+
+_REALS = st.floats(-2.0, 2.0)
+_SCALES = st.floats(0.25, 4.0)
+_IID = {
+    Normal: st.builds(Normal, _REALS, _SCALES),
+    Uniform: st.builds(lambda low, width: Uniform(low, low + width), _REALS, _SCALES),
+    Exponential: st.builds(Exponential, _SCALES, _REALS),
+    Cauchy: st.builds(Cauchy, _REALS, _SCALES),
+    StudentT: st.builds(StudentT, st.integers(2, 6), _SCALES),
+    CenteredLogNormal: st.builds(CenteredLogNormal, st.floats(0.1, 2.0)),
+}
+# sum |rho| < 1: the process is stationary (explosive ones are test_overflowing_error_process_named's)
+_STATIONARY = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3).map(
+    lambda r: tuple(0.95 * x / max(1.0, sum(map(abs, r))) for x in r)
+)
+_SPECS = {
+    **_IID,
+    ARProcess: st.builds(ARProcess, _STATIONARY, st.one_of(*_IID.values())),
+    MAProcess: st.builds(MAProcess, st.lists(_REALS, min_size=1, max_size=3), st.one_of(*_IID.values())),
+}
+_NULLS = {**_SPECS, LinearModelSpec: st.builds(LinearModelSpec, st.lists(_REALS, min_size=1, max_size=5), _SCALES)}
+# n from 1 to 6 meets each kind's least n and k + 1 for k up to 5
+_SIZES = (50, 25, 100, 6, 5, 4, 3, 2, 1)
+
+
+def _test_and_null(test: str):
+    """test with a null of a type it takes, or of any type."""
+    takes = st.one_of(*(_NULLS[cls] for cls in hz.TEST_KINDS[test].nulls))
+    return st.tuples(st.just(test), st.booleans().flatmap(lambda own: takes if own else st.one_of(*_NULLS.values())))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    test_and_null=st.sampled_from(sorted(hz.TEST_KINDS)).flatmap(_test_and_null),
+    alternatives=st.lists(st.one_of(*_SPECS.values()), min_size=1, max_size=2),
+    sample_sizes=st.lists(st.sampled_from(_SIZES), min_size=1, max_size=2, unique=True).flatmap(
+        lambda ns: st.tuples(*map(_counts, ns))
+    ),
+    trials=_counts(100),
+    lilliefors_trials=_counts(1000),
+)
+def test_config_raises_when_built_or_runs(test_and_null, alternatives, sample_sizes, trials, lilliefors_trials):
+    """A config either raises ValueError when it is built or runs to a CSV
+    whose trials column is an integer: no input fails inside the study."""
+    test, null = test_and_null
+    try:
+        config = hz.PowerStudyConfig(
+            test=test, alternatives=tuple(alternatives), sample_sizes=sample_sizes, trials=trials,
+            null_spec=null, lilliefors_trials=lilliefors_trials,
+        )
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "power.csv"
+        hz.emit_power_csv(hz.run_power_study(config), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == len(alternatives) * len(sample_sizes)
+    assert {row[4] for row in rows} == {"100"}
+
+
 def test_benchmark_tracer_bindings(monkeypatch):
     """perfbench/study.py wraps each layer function where harness, regression
     and sampling bind it, by name; every such name must still resolve."""
@@ -783,6 +871,20 @@ def test_benchmark_plan(tmp_path, monkeypatch, workload):
     expected = {name: len(table_config(name).alternatives) * len(table_config(name).sample_sizes) for name in presets}
     assert {name: study["rows"] for name, study in studies.items()} == expected
 
+
+
+@pytest.mark.parametrize("workload", ["et-simple", "ks-simple", "regression"])
+def test_benchmark_digests(tmp_path, workload):
+    """One perfbench/study.py pass at the default seed writes the preset CSVs
+    that perfbench/digests.json pins, so a change of output fails here and
+    not only in the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    argv = [sys.executable, str(root / "perfbench" / "study.py"), "--workload", workload, "--out", str(tmp_path)]
+    run = subprocess.run([*argv, "--seed", str(hz.DEFAULT_SEED)], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    pinned = json.loads((root / "perfbench" / "digests.json").read_text())[workload][str(hz.DEFAULT_SEED)]
+    assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() for name in pinned} == pinned
 
 _FAULTS_SCRIPT = """
 import json, resource

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,27 @@ class TestLilliefors:
     def test_inputs_checked_before_cache_read(self, n, alpha, trials, match):
         with pytest.raises(ValueError, match=match):
             ks.lilliefors_critical(self.model, n, alpha, trials, 1, _NoCache())
+
+    @pytest.mark.parametrize(
+        "n,trials,master_seed,match",
+        [
+            (50, 1000.5, 7, "trials must be an integer, got 1000.5"),
+            (50.5, 1000, 7, "n must be an integer, got 50.5"),
+            (True, 1000, 7, "n must be an integer, got True"),
+            (50, 1000, 7.0, "master_seed must be an unsigned 64-bit integer, got 7.0"),
+        ],
+    )
+    @pytest.mark.parametrize("cache", [None, _NoCache()], ids=["no-cache", "cache"])
+    def test_inputs_are_integers(self, n, trials, master_seed, match, cache):
+        # a float count failed with a bare TypeError inside the draw, and a
+        # float seed read the cache records of its integer part
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ks.lilliefors_critical(self.model, n, 0.05, trials, master_seed, cache)
+
+    def test_numpy_integers_accepted(self):
+        # a numpy n would overflow the calibration's stream arithmetic (first_stream)
+        expected = ks.lilliefors_critical(self.model, 50, 0.05, 1000, 9)
+        assert ks.lilliefors_critical(self.model, np.uint16(50), 0.05, np.int32(1000), 9) == expected
 
     def test_trials_fit_a_row_of_streams(self):
         # trial t at n draws stream 2**62 + n * 2**32 + t, so t < 2**32; no trial runs here

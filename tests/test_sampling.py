@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ class TestIidSamplers:
 
 
 class TestProcesses:
+    @pytest.mark.parametrize("cls", [sp.ARProcess, sp.MAProcess])
+    def test_checked_alike(self, cls):
+        # both take a non-empty list of finite coefficients and an iid innovation
+        assert cls([1, np.float32(0.5)]) == cls((1.0, 0.5))
+        assert all(type(c) is float for c in astuple(cls([1, np.float32(0.5)]))[0])
+        with pytest.raises(ValueError, match=f"^{cls.__name__} needs at least one coefficient$"):
+            cls(())
+        with pytest.raises(ValueError, match=f"^{cls.__name__} .* must be finite$"):
+            cls((0.5, math.inf))
+        for innovation in (sp.ARProcess((0.5,)), sp.MAProcess((0.5,))):
+            with pytest.raises(ValueError, match="^process innovations must be an iid distribution$"):
+                cls((0.5,), innovation)
+
     def test_random_walk_is_cumsum(self):
         seed = sp.SeedSpec(21, 0)
         walk = sp.sample(sp.ARProcess((1.0,), sp.Normal(0, 2)), 50, seed)
@@ -346,6 +360,8 @@ class TestCdf:
         spec = sp.Exponential(1.0, -1.0)
         assert sp.cdf(spec, -1.0) == 0.0
         assert sp.cdf(spec, 0.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        # far below the shift expm1 overflowed, on values the CDF then set to 0
+        assert list(sp.cdf(sp.Exponential(1.0, 0.0), [-1000.0, -np.inf, 0.0])) == [0.0, 0.0, 0.0]
 
     def test_process_rejected(self):
         with pytest.raises(TypeError):
