@@ -12,7 +12,6 @@ test use a disjoint stream range (first_stream, kstest).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -82,7 +81,7 @@ class TestKind:
     block of trials on streams seed.stream_id, ..., seed.stream_id + trials
     - 1 of seed.master_seed and returns one statistic per trial;
     critical(config, cache, n) is the critical value at sample size n,
-    taken once per n before the first row.  A trial
+    taken once per n when the first row's statistics are in.  A trial
     rejects when its statistic exceeds the critical value.  Entries call
     the layer functions by their names in this module, so tracing that
     rebinds those names sees every call.
@@ -296,9 +295,11 @@ def run_power_study(
 
     Trials draw from per-trial streams (sampling.first_stream: row index *
     2**32 + trial index), so the output is identical for any worker count.
-    Each n's critical value is taken once, before the first row; the trial
-    chunks return statistics and the decisions are made here.  Degenerate
-    trials (DegenerateTrialError) are tallied per row, and a rate above 0.1%
+    Each n's critical value is taken once, after the first row's statistics
+    are in and before that row is decided, so a study whose first row
+    raises does not calibrate first.  The trial chunks return statistics
+    and the decisions are made here.  Degenerate trials
+    (DegenerateTrialError) are tallied per row, and a rate above 0.1%
     aborts the run; any other error propagates.
     """
     workers = check_count("workers", workers)
@@ -306,7 +307,6 @@ def run_power_study(
         raise ValueError("workers must be >= 1")
     kind = TEST_KINDS[config.test]
     context = kind.context(config)
-    criticals = {n: kind.critical(config, cache, n) for n in config.sample_sizes}
 
     rows: list[PowerRow] = []
     row_specs = [
@@ -314,7 +314,10 @@ def run_power_study(
         for alt_idx, alt in enumerate(config.alternatives)
         for n in config.sample_sizes
     ]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # only a pool run loads multiprocessing, socket and subprocess
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for row_idx, (alt_idx, alt, n) in enumerate(row_specs):
             base = first_stream(row_idx)
@@ -331,6 +334,8 @@ def run_power_study(
                     f"row ({config.row_label(alt_idx)!r}, n={n}): {failures} trial failures "
                     f"out of {config.trials} exceeds the 0.1% budget"
                 )
+            if row_idx == 0:  # a study whose trials raise does so before it calibrates
+                criticals = {size: kind.critical(config, cache, size) for size in config.sample_sizes}
             row = PowerRow(
                 test=config.test,
                 alternative=config.row_label(alt_idx),

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .maxent import solve_maxent
-from .numerics import integrate
+from .numerics import elementwise, integrate
 from .results import TestResult, chi2_1_decision
 from .sampling import Cauchy, Normal
 
@@ -47,16 +47,18 @@ class MomentConstraint:
         return np.asarray(self.kernel(np.asarray(data, dtype=np.float64))) - self.target
 
 
+@elementwise
 def sinc_kernel(z):
-    """2 sin(z)/z with the removable singularity filled (value 2 at z = 0)."""
-    arr = np.asarray(z, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    small = np.abs(arr) < 1e-6
-    # two-term Taylor guard avoids 0/0 and catastrophic cancellation
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, 2.0 * (1.0 - arr * arr / 6.0), 2.0 * np.sin(safe) / safe)
-    return float(out[0]) if scalar else out
+    """2 sin(z)/z with the removable singularity filled (value 2 at z = 0),
+    under numerics' elementwise contract."""
+    # two-term Taylor guard avoids 0/0 and catastrophic cancellation; it
+    # runs only on the values it fills, since z * z overflows on large ones
+    small = np.abs(z) < 1e-6
+    out = 2.0 * np.sin(z)
+    np.divide(out, z, out=out, where=~small)
+    t = z[small]
+    out[small] = 2.0 * (1.0 - t * t / 6.0)
+    return out
 
 
 def normal_cf_integral(mu: float, sigma: float) -> float:

@@ -16,16 +16,18 @@ others run only on the indices that fall in them, overwriting those
 entries.  ``erf`` runs its small regime and ``erfc``'s over the whole
 array and selects between them.  Every regime keeps its coefficients,
 bounds and operation order, so a value does not depend on the array
-around it.  Polynomials are evaluated by Horner's rule in place
-(``out *= r; out += c``), the same two roundings per step as
-``out * r + c``.
+around it.  The six rational regimes evaluate every polynomial with
+``_horner`` (Horner's rule in place, ``out += c; out *= r``, the same two
+roundings per step as ``out * r + c``) from tables of ascending powers.
 
-All functions accept scalars or numpy arrays and are pure; they hold no
-shared mutable state and are safe to call concurrently.
+The special functions take the ``elementwise`` contract: an array gives an
+array of its shape, and a scalar a Python float.  All functions are pure;
+they hold no shared mutable state and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -46,122 +48,126 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+
+def elementwise(fn: Callable) -> Callable:
+    """fn under the elementwise contract: its last argument, the value, reaches
+    fn as a float64 array of at least one dimension, fn returns an array of
+    that shape, and a scalar value (0-d) gives a Python float."""
+
+    @functools.wraps(fn)
+    def apply(*args):
+        x = np.asarray(args[-1], dtype=np.float64)
+        out = fn(*args[:-1], np.atleast_1d(x))
+        return float(out[0]) if x.ndim == 0 else out
+
+    return apply
+
+
+def _horner(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    """c0 + c1 r + ... + ck r^k (k >= 1) in a new array, starting from ck r."""
+    out = coeffs[-1] * r
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= r
+    out += coeffs[0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # erf / erfc: rational approximations after W. J. Cody (1969), as in the
 # classic CALERF routine.  Three regimes: |x| <= 0.46875, 0.46875 < |x| <= 4,
 # and |x| > 4.  Double precision coefficients, ~1e-16 relative accuracy.
+# CALERF's arrays A, B, C, D, P, Q, each listed by ascending power.
 # ---------------------------------------------------------------------------
 
+# erf(x) = x * A(x^2) / B(x^2) on |x| <= 0.46875
 _ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
     3.20937758913846947e03,
+    3.77485237685302021e02,
+    1.13864154151050156e02,
+    3.16112374387056560e00,
     1.85777706184603153e-1,
 )
 _ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
     2.84423683343917062e03,
+    1.28261652607737228e03,
+    2.44024637934444173e02,
+    2.36012909523441209e01,
+    1.0,
 )
+# erfc(x) = exp(-x^2) * C(x) / D(x) on 0.46875 < x <= 4
 _ERF_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
     1.23033935479799725e03,
+    2.05107837782607147e03,
+    1.71204761263407058e03,
+    8.81952221241769090e02,
+    2.98635138197400131e02,
+    6.61191906371416295e01,
+    8.88314979438837594e00,
+    5.64188496988670089e-1,
     2.15311535474403846e-8,
 )
 _ERF_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
     1.23033935480374942e03,
+    3.43936767414372164e03,
+    4.36261909014324716e03,
+    3.29079923573345963e03,
+    1.62138957456669019e03,
+    5.37181101862009858e02,
+    1.17693950891312499e02,
+    1.57449261107098347e01,
+    1.0,
 )
+# erfc(x) = exp(-x^2)/x * (1/sqrt(pi) - y P(y) / Q(y)), y = 1/x^2, on x > 4
 _ERF_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
     6.58749161529837803e-4,
+    1.60837851487422766e-2,
+    1.25781726111229246e-1,
+    3.60344899949804439e-1,
+    3.05326634961232344e-1,
     1.63153871373020978e-2,
 )
 _ERF_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
     2.33520497626869185e-3,
+    6.05183413124413191e-2,
+    5.27905102951428412e-1,
+    1.87295284992346047e00,
+    2.56852019228982242e00,
+    1.0,
 )
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
 def _erf_small(x: np.ndarray) -> np.ndarray:
-    # |x| <= 0.46875:  erf(x) = x * P(x^2)/Q(x^2)
     y = x * x
-    num = _ERF_A[4] * y
-    den = y.copy()
-    for i in range(3):
-        num += _ERF_A[i]
-        num *= y
-        den += _ERF_B[i]
-        den *= y
-    num += _ERF_A[3]
+    num = _horner(_ERF_A, y)
     num *= x
-    den += _ERF_B[3]
-    num /= den
+    num /= _horner(_ERF_B, y)
     return num
 
 
 def _erfc_mid(x: np.ndarray) -> np.ndarray:
-    # 0.46875 < x <= 4:  erfc(x) = exp(-x^2) * P(x)/Q(x)
-    num = _ERF_C[8] * x
-    den = x.copy()
-    for i in range(7):
-        num += _ERF_C[i]
-        num *= x
-        den += _ERF_D[i]
-        den *= x
     e = x * x
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num += _ERF_C[7]
-    e *= num
-    den += _ERF_D[7]
-    e /= den
+    e *= _horner(_ERF_C, x)
+    e /= _horner(_ERF_D, x)
     return e
 
 
 def _erfc_large(x: np.ndarray) -> np.ndarray:
-    # x > 4:  erfc(x) = exp(-x^2)/x * (1/sqrt(pi) - P(1/x^2)/Q(1/x^2)/x^2)
     # exp(-x^2) underflows from x = 26.6; past x = 2**512 x^2 overflows to
     # inf, so 1/x^2 and exp(-x^2) are 0, and so is erfc(x) rounded
     with np.errstate(over="ignore", under="ignore"):
         xx = x * x
         y = 1.0 / xx
-        num = _ERF_P[5] * y
-        den = y.copy()
-        for i in range(4):
-            num += _ERF_P[i]
-            num *= y
-            den += _ERF_Q[i]
-            den *= y
-        num += _ERF_P[4]
-        num *= y
-        den += _ERF_Q[4]
-        num /= den
-        np.subtract(_INV_SQRT_PI, num, out=num)
+        r = _horner(_ERF_P, y)
+        r *= y
+        r /= _horner(_ERF_Q, y)
+        np.subtract(_INV_SQRT_PI, r, out=r)
         np.negative(xx, out=xx)
         np.exp(xx, out=xx)
-        xx *= num
+        xx *= r
         xx /= x
     return xx
 
@@ -182,45 +188,36 @@ def _erfc_positive(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
+@elementwise
 def erf(x):
     """Error function, odd, values in (-1, 1); |error| below 1e-12."""
-    arr, scalar = _as_float_array(x)
-    arr = np.atleast_1d(arr)
-    a = np.abs(arr)
     # the small regime over every value: past it, x**8 overflows to inf / inf
     # on values the erfc form replaces
+    a = np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        small = _erf_small(arr)
-    out = np.where(a <= 0.46875, small, np.sign(arr) * (1.0 - _erfc_positive(a)))
-    return float(out[0]) if scalar else out
+        small = _erf_small(x)
+    return np.where(a <= 0.46875, small, np.sign(x) * (1.0 - _erfc_positive(a)))
 
 
+@elementwise
 def erfc(x):
     """Complementary error function 1 - erf(x), accurate in both tails."""
-    arr, scalar = _as_float_array(x)
-    arr = np.atleast_1d(arr)
-    a = np.abs(arr)
-    pos = _erfc_positive(a)
-    out = np.where(arr >= 0.0, pos, 2.0 - pos)
-    return float(out[0]) if scalar else out
+    pos = _erfc_positive(np.abs(x))
+    return np.where(x >= 0.0, pos, 2.0 - pos)
 
 
+@elementwise
 def normal_cdf(x):
     """Standard normal CDF."""
-    arr, scalar = _as_float_array(x)
-    out = 0.5 * erfc(-np.atleast_1d(arr) / SQRT2)
-    return float(out[0]) if scalar else out
+    return 0.5 * erfc(-x / SQRT2)
 
 
 # ---------------------------------------------------------------------------
 # Standard normal quantile: Wichura's AS 241 (PPND16), relative accuracy
-# about 1e-16.  Rational in (p - 1/2)^2 on the central region, rational in
-# sqrt(-log(min(p, 1-p))) on the tails.
+# about 1e-16.  A(r) / B(r) in r = 0.180625 - (p - 1/2)^2 on the central
+# region; in r = sqrt(-log(min(p, 1-p))) on the tails, C(r - 1.6) / D(r - 1.6)
+# up to r = 5 and E(r - 5) / F(r - 5) past it.  Ascending powers, as AS 241
+# numbers them, with each denominator's unit constant term written out.
 # ---------------------------------------------------------------------------
 
 _PPND_A = (
@@ -234,6 +231,7 @@ _PPND_A = (
     2.5090809287301226727e03,
 )
 _PPND_B = (
+    1.0,
     4.2313330701600911252e01,
     6.8718700749205790830e02,
     5.3941960214247511077e03,
@@ -253,6 +251,7 @@ _PPND_C = (
     7.74545014278341407640e-4,
 )
 _PPND_D = (
+    1.0,
     2.05319162663775882187e00,
     1.67638483018380384940e00,
     6.89767334985100004550e-1,
@@ -272,6 +271,7 @@ _PPND_E = (
     2.01033439929228813265e-7,
 )
 _PPND_F = (
+    1.0,
     5.99832206555887937690e-1,
     1.36929880922735805310e-1,
     1.48753612908506148525e-2,
@@ -282,40 +282,23 @@ _PPND_F = (
 )
 
 
-def _poly(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    out = np.full_like(r, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= r
-        out += c
-    return out
-
-
-def _rational(num: np.ndarray, den: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    """num / (1 + r Q(r)), in place in num; Q has the coefficients den."""
-    q = _poly(den, r)
-    q *= r
-    q += 1.0
-    num /= q
-    return num
-
-
+@elementwise
 def normal_quantile(p):
     """Standard normal quantile (inverse CDF) for p strictly in (0, 1).
 
     Raises ValueError on p outside the open interval.
     """
-    arr, scalar = _as_float_array(p)
-    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both
+    if not ((p > 0.0) & (p < 1.0)).all():  # NaN fails both
         raise ValueError("normal_quantile requires probabilities strictly inside (0, 1)")
-    flat = arr.ravel()
+    flat = p.ravel()
     q = flat - 0.5
     # the central rational over every value: |q| < 1/2, so r lies in
     # (-0.0694, 0.1806] and nothing overflows on the tail values it overwrites
     r = q * q
     np.subtract(0.180625, r, out=r)
-    out = _poly(_PPND_A, r)
+    out = _horner(_PPND_A, r)
     out *= q
-    out = _rational(out, _PPND_B, r)
+    out /= _horner(_PPND_B, r)
     tails = np.flatnonzero(np.abs(q) > 0.425)
     if tails.size:
         lower = q[tails] < 0.0
@@ -326,27 +309,26 @@ def normal_quantile(p):
         np.sqrt(r, out=r)
         # the near tail over every tail value (r < 27.3), then the far tail
         rn = r - 1.6
-        val = _rational(_poly(_PPND_C, rn), _PPND_D, rn)
+        val = _horner(_PPND_C, rn)
+        val /= _horner(_PPND_D, rn)
         far = np.flatnonzero(r > 5.0)
         if far.size:
             rf = r[far] - 5.0
-            val[far] = _rational(_poly(_PPND_E, rf), _PPND_F, rf)
+            val[far] = _horner(_PPND_E, rf) / _horner(_PPND_F, rf)
         np.negative(val, out=val, where=lower)
         out[tails] = val
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return out.reshape(p.shape)
 
 
+@elementwise
 def chi2_1_sf(x):
     """Upper-tail probability of a chi-square with one degree of freedom.
 
     P(X > x) = 2 (1 - Phi(sqrt(x))) = erfc(sqrt(x/2)); x must be >= 0.
     """
-    arr, scalar = _as_float_array(x)
-    arr = np.atleast_1d(arr)
-    if not (arr >= 0.0).all():  # NaN fails it
+    if not (x >= 0.0).all():  # NaN fails it
         raise ValueError("chi2_1_sf requires x >= 0")
-    out = erfc(np.sqrt(arr / 2.0))
-    return float(out[0]) if scalar else out
+    return erfc(np.sqrt(x / 2.0))
 
 
 def chi2_1_critical(alpha: float) -> float:

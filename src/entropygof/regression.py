@@ -16,6 +16,7 @@ convention; sums of (1 - h_j) equal the column count k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +211,8 @@ def simulate_model(
     shape (trials, n) and X of shape (trials, n, k), row b drawn from
     stream seed.stream_id + b and bit-identical to that trial's draw
     alone.  Raises ValueError, naming the error process, when a value of y
-    is not finite (an explosive AR process overflows).
+    is not finite or is past sqrt(DBL_MAX / n) / 2, where the fit's residual
+    sum of squares (at most n max|y|^2) could overflow: an explosive AR process.
     """
     if n <= model.k:
         raise ValueError("need more observations than coefficients")
@@ -220,7 +222,7 @@ def simulate_model(
     X = np.ones((len(u), n, model.k))
     X[:, :, 1:] = u[:, :d].reshape(len(u), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
-    if not np.isfinite(y).all():
+    if not np.abs(y).max() <= 0.5 * math.sqrt(sys.float_info.max / n):  # NaN fails it
         message = f"error process {spec_label(errors)} gave non-finite values at n = {n}"
         innovation = getattr(errors, "innovation", None)
         raise ValueError(message + (f" (innovation {spec_label(innovation)})" if innovation else ""))

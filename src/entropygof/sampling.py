@@ -22,12 +22,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import Iterator, Union
 
 import numpy as np
 
-from .numerics import normal_cdf, normal_quantile
+from .numerics import elementwise, normal_cdf, normal_quantile
 
 __all__ = [
     "SeedSpec",
@@ -272,6 +273,9 @@ class StudentT:
         object.__setattr__(self, "dof", int(self.dof))
 
 
+_MAX_SIGMA2_LOG = 2.0 * math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class CenteredLogNormal:
     """Lognormal with log-location 0 and log-variance sigma2_log, shifted to mean 0."""
@@ -282,6 +286,8 @@ class CenteredLogNormal:
         if not self.sigma2_log > 0:
             raise ValueError("sigma2_log must be positive")
         _require_finite(self)
+        if self.sigma2_log > _MAX_SIGMA2_LOG:  # the shift exp(sigma2_log / 2) would overflow
+            raise ValueError(f"CenteredLogNormal sigma2_log must be at most 2 ln(DBL_MAX) = {_MAX_SIGMA2_LOG:.6g}")
 
     @property
     def shift(self) -> float:
@@ -491,32 +497,30 @@ def _student_t_cdf(t: np.ndarray, dof: int) -> np.ndarray:
     return 0.5 * (1.0 + np.sign(t) * a)
 
 
-def cdf(spec: DistributionSpec, x) -> np.ndarray | float:
-    """Marginal CDF of an iid spec at x; rejects AR/MA process specs."""
+@elementwise
+def cdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """Marginal CDF of an iid spec at x, under the elementwise
+    contract; rejects AR/MA process specs."""
     if isinstance(spec, (ARProcess, MAProcess)):
         raise TypeError("serial processes have no single marginal CDF here")
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if isinstance(spec, Normal):
-        out = normal_cdf((arr - spec.mu) / spec.sigma)
+        out = normal_cdf((x - spec.mu) / spec.sigma)
     elif isinstance(spec, Uniform):
-        out = np.clip((arr - spec.low) / (spec.high - spec.low), 0.0, 1.0)
+        out = np.clip((x - spec.low) / (spec.high - spec.low), 0.0, 1.0)
     elif isinstance(spec, Exponential):
         # fmax, not where: a value far below the shift would overflow expm1
-        out = -np.expm1(-spec.rate * np.fmax(arr - spec.shift, 0.0))
+        out = -np.expm1(-spec.rate * np.fmax(x - spec.shift, 0.0))
     elif isinstance(spec, Cauchy):
-        out = 0.5 + np.arctan((arr - spec.loc) / spec.scale) / np.pi
+        out = 0.5 + np.arctan((x - spec.loc) / spec.scale) / np.pi
     elif isinstance(spec, StudentT):
-        out = _student_t_cdf(arr / spec.scale, spec.dof)
+        out = _student_t_cdf(x / spec.scale, spec.dof)
     elif isinstance(spec, CenteredLogNormal):
         sig = math.sqrt(spec.sigma2_log)
-        shifted = arr + spec.shift
+        shifted = x + spec.shift
         out = np.where(shifted > 0.0, normal_cdf(np.log(np.maximum(shifted, 1e-300)) / sig), 0.0)
     else:
         raise TypeError(f"unknown distribution spec {spec!r}")
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def centered_lognormal_params(target_variance: float) -> tuple[float, float]:

@@ -12,8 +12,8 @@ dual-solve reference solves one vector with scalar Python control flow;
 the AR reference runs one row at a time
 with a shifting list of lags; the erfc and normal-quantile references
 evaluate each regime on a boolean-masked gather with allocating Horner
-steps, as the regime-per-pass functions in numerics must reproduce bit
-for bit.
+steps, from their own copies of the published coefficient tables, as the
+regime-per-pass functions in numerics must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from entropygof import numerics as nm
 from entropygof.maxent import MaxEntSolution
 from entropygof.sampling import sample_using, uniform_words
 
@@ -278,6 +277,119 @@ def random_feasible_g(rng: np.random.Generator, n: int) -> np.ndarray:
             return g
 
 
+# The references' own copies of the coefficient tables, in the order of
+# the published routines: Cody's CALERF arrays A, B, C, D, P, Q, and
+# Wichura's AS 241 A0-A7, B1-B7, C0-C7, D1-D7, E0-E7, F1-F7.  numerics lists
+# the same numbers by ascending power, so the oracles share no table with it.
+_ERF_A = (
+    3.16112374387056560e00,
+    1.13864154151050156e02,
+    3.77485237685302021e02,
+    3.20937758913846947e03,
+    1.85777706184603153e-1,
+)
+_ERF_B = (
+    2.36012909523441209e01,
+    2.44024637934444173e02,
+    1.28261652607737228e03,
+    2.84423683343917062e03,
+)
+_ERF_C = (
+    5.64188496988670089e-1,
+    8.88314979438837594e00,
+    6.61191906371416295e01,
+    2.98635138197400131e02,
+    8.81952221241769090e02,
+    1.71204761263407058e03,
+    2.05107837782607147e03,
+    1.23033935479799725e03,
+    2.15311535474403846e-8,
+)
+_ERF_D = (
+    1.57449261107098347e01,
+    1.17693950891312499e02,
+    5.37181101862009858e02,
+    1.62138957456669019e03,
+    3.29079923573345963e03,
+    4.36261909014324716e03,
+    3.43936767414372164e03,
+    1.23033935480374942e03,
+)
+_ERF_P = (
+    3.05326634961232344e-1,
+    3.60344899949804439e-1,
+    1.25781726111229246e-1,
+    1.60837851487422766e-2,
+    6.58749161529837803e-4,
+    1.63153871373020978e-2,
+)
+_ERF_Q = (
+    2.56852019228982242e00,
+    1.87295284992346047e00,
+    5.27905102951428412e-1,
+    6.05183413124413191e-2,
+    2.33520497626869185e-3,
+)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+_PPND_A = (
+    3.3871328727963666080e00,
+    1.3314166789178437745e02,
+    1.9715909503065514427e03,
+    1.3731693765509461125e04,
+    4.5921953931549871457e04,
+    6.7265770927008700853e04,
+    3.3430575583588128105e04,
+    2.5090809287301226727e03,
+)
+_PPND_B = (
+    4.2313330701600911252e01,
+    6.8718700749205790830e02,
+    5.3941960214247511077e03,
+    2.1213794301586595867e04,
+    3.9307895800092710610e04,
+    2.8729085735721942674e04,
+    5.2264952788528545610e03,
+)
+_PPND_C = (
+    1.42343711074968357734e00,
+    4.63033784615654529590e00,
+    5.76949722146069140550e00,
+    3.64784832476320460504e00,
+    1.27045825245236838258e00,
+    2.41780725177450611770e-1,
+    2.27238449892691845833e-2,
+    7.74545014278341407640e-4,
+)
+_PPND_D = (
+    2.05319162663775882187e00,
+    1.67638483018380384940e00,
+    6.89767334985100004550e-1,
+    1.48103976427480074590e-1,
+    1.51986665636164571966e-2,
+    5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+)
+_PPND_E = (
+    6.65790464350110377720e00,
+    5.46378491116411436990e00,
+    1.78482653991729133580e00,
+    2.96560571828504891230e-1,
+    2.65321895265761230930e-2,
+    1.24266094738807843860e-3,
+    2.71155556874348757815e-5,
+    2.01033439929228813265e-7,
+)
+_PPND_F = (
+    5.99832206555887937690e-1,
+    1.36929880922735805310e-1,
+    1.48753612908506148525e-2,
+    7.86869131145613259100e-4,
+    1.84631831751005468180e-5,
+    1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+)
+
+
 def _poly_reference(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
     out = np.full_like(r, coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -287,33 +399,33 @@ def _poly_reference(coeffs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
 
 def _erf_small_reference(x: np.ndarray) -> np.ndarray:
     y = x * x
-    num = nm._ERF_A[4] * y
+    num = _ERF_A[4] * y
     den = y
     for i in range(3):
-        num = (num + nm._ERF_A[i]) * y
-        den = (den + nm._ERF_B[i]) * y
-    return x * (num + nm._ERF_A[3]) / (den + nm._ERF_B[3])
+        num = (num + _ERF_A[i]) * y
+        den = (den + _ERF_B[i]) * y
+    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
 
 
 def _erfc_mid_reference(x: np.ndarray) -> np.ndarray:
-    num = nm._ERF_C[8] * x
+    num = _ERF_C[8] * x
     den = x
     for i in range(7):
-        num = (num + nm._ERF_C[i]) * x
-        den = (den + nm._ERF_D[i]) * x
-    return np.exp(-x * x) * (num + nm._ERF_C[7]) / (den + nm._ERF_D[7])
+        num = (num + _ERF_C[i]) * x
+        den = (den + _ERF_D[i]) * x
+    return np.exp(-x * x) * (num + _ERF_C[7]) / (den + _ERF_D[7])
 
 
 def _erfc_large_reference(x: np.ndarray) -> np.ndarray:
     y = 1.0 / (x * x)
-    num = nm._ERF_P[5] * y
+    num = _ERF_P[5] * y
     den = y
     for i in range(4):
-        num = (num + nm._ERF_P[i]) * y
-        den = (den + nm._ERF_Q[i]) * y
-    r = y * (num + nm._ERF_P[4]) / (den + nm._ERF_Q[4])
+        num = (num + _ERF_P[i]) * y
+        den = (den + _ERF_Q[i]) * y
+    r = y * (num + _ERF_P[4]) / (den + _ERF_Q[4])
     with np.errstate(under="ignore"):
-        return np.exp(-x * x) * (nm._INV_SQRT_PI - r) / x
+        return np.exp(-x * x) * (_INV_SQRT_PI - r) / x
 
 
 def erfc_reference(x):
@@ -351,7 +463,7 @@ def normal_quantile_reference(p):
     central = np.abs(q) <= 0.425
     if central.any():
         r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly_reference(nm._PPND_A, r) / (1.0 + r * _poly_reference(nm._PPND_B, r))
+        out[central] = q[central] * _poly_reference(_PPND_A, r) / (1.0 + r * _poly_reference(_PPND_B, r))
     t = ~central
     if t.any():
         qt = q[t]
@@ -361,10 +473,10 @@ def normal_quantile_reference(p):
         val = np.empty_like(r)
         if near.any():
             rn = r[near] - 1.6
-            val[near] = _poly_reference(nm._PPND_C, rn) / (1.0 + rn * _poly_reference(nm._PPND_D, rn))
+            val[near] = _poly_reference(_PPND_C, rn) / (1.0 + rn * _poly_reference(_PPND_D, rn))
         far = ~near
         if far.any():
             rf = r[far] - 5.0
-            val[far] = _poly_reference(nm._PPND_E, rf) / (1.0 + rf * _poly_reference(nm._PPND_F, rf))
+            val[far] = _poly_reference(_PPND_E, rf) / (1.0 + rf * _poly_reference(_PPND_F, rf))
         out[t] = np.where(qt < 0.0, -val, val)
     return float(out[0]) if scalar else out

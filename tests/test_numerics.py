@@ -1,10 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entropygof import numerics as nm
+from entropygof.moments import sinc_kernel
+from entropygof.sampling import StudentT, cdf
 from helpers import erf_series, erfc_reference, normal_cdf_series, normal_quantile_reference, quantile_bisect
 
 # oracle values frozen from 40-digit evaluation of the stated closed forms
@@ -170,6 +173,39 @@ class TestRegimeOracles:
         out = nm.erfc(np.array([[math.nan, 1.0], [-math.nan, 5.0]]))
         assert np.isnan(out[:, 0]).all() and not np.isnan(out[:, 1]).any()
         assert math.isnan(nm.erfc(math.nan)) and math.isnan(nm.normal_cdf(math.nan))
+
+
+# the functions under numerics.elementwise, each with the values of its domain
+ELEMENTWISE = {
+    "erf": (nm.erf, st.floats()),
+    "erfc": (nm.erfc, st.floats()),
+    "normal_cdf": (nm.normal_cdf, st.floats()),
+    "normal_quantile": (nm.normal_quantile, st.floats(2.0**-1074, 1.0 - 2.0**-53)),
+    "chi2_1_sf": (nm.chi2_1_sf, st.floats(min_value=0.0)),
+    "sinc_kernel": (sinc_kernel, st.floats(allow_nan=False, allow_infinity=False)),
+    "cdf": (partial(cdf, StudentT(3, 1.0)), st.floats(allow_nan=False, allow_infinity=False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_elementwise_contract(name, data):
+    """A scalar gives a Python float bit-equal to the one-element array's
+    entry; a (B, n) block or the (B, dof + 1, n) uniforms of a t(dof) block
+    keep their shape, and each entry is the scalar call's (numpy's SIMD and
+    scalar loops may give a NaN different sign bits, so NaNs compare as NaN)."""
+    f, values = ELEMENTWISE[name]
+    x = data.draw(values)
+    got = f(x)
+    assert type(got) is float
+    assert _bits(got) == _bits(f(np.array([x])))[0] == _bits(f(np.float64(x)))
+    shape = data.draw(st.sampled_from(((3, 5), (2, 4, 3))))
+    block = np.array(data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    out = f(block)
+    assert type(out) is np.ndarray and out.shape == shape
+    want = np.reshape([f(float(v)) for v in block.ravel()], shape)
+    assert _bits(np.where(np.isnan(out), np.nan, out)).tolist() == _bits(np.where(np.isnan(want), np.nan, want)).tolist()
 
 
 class TestChiSquare1:

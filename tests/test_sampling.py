@@ -499,6 +499,7 @@ class TestColonGrammar:
             ("expo:1:nan", "Exponential shift must be finite"),
             ("t:3:inf", "StudentT scale must be finite"),
             ("clognormal:inf", "CenteredLogNormal sigma2_log must be finite"),
+            ("clognormal:2000", r"^'clognormal:2000': CenteredLogNormal sigma2_log must be at most 2 ln\(DBL_MAX\)"),
             ("ar:inf", r"^'ar:inf': ARProcess rho must be finite$"),
             ("ma:0.5:nan", "MAProcess theta must be finite"),
         ],
