@@ -82,7 +82,10 @@ class TestKind:
     - 1 of seed.master_seed and returns one statistic per trial;
     critical(config, cache, n) is the critical value at sample size n,
     taken once per n when the first row's statistics are in.  A trial
-    rejects when its statistic exceeds the critical value.  Entries call
+    rejects when its statistic exceeds the critical value.  ks-simple's
+    context holds those criticals too, and its statistic is the trial's
+    decision at them (kstest.ks_statistic with a critical): +inf, 0.0 or,
+    near the critical, D itself.  Entries call
     the layer functions by their names in this module, so tracing that
     rebinds those names sees every call.
     """
@@ -104,8 +107,13 @@ def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec,
     return solve_maxent(g).statistic
 
 
-def _ks_simple_statistic(null_cdf, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
-    return ks_statistic(sample(alt, n, seed, trials), null_cdf)
+def _ks_simple_context(config: PowerStudyConfig):
+    return partial(cdf, config.null_spec), {n: ks_critical_simple(n, config.alpha) for n in config.sample_sizes}
+
+
+def _ks_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    null_cdf, criticals = context
+    return ks_statistic(sample(alt, n, seed, trials), null_cdf, criticals[n])
 
 
 def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
@@ -149,7 +157,7 @@ TEST_KINDS: dict[str, TestKind] = {
     # name: TestKind(nulls, min_n, context, statistic, critical); the et-simple
     # context holds the null's quadrature target, computed once per study
     "et-simple": TestKind(_ET_NULLS, 2, lambda c: null_constraint(c.null_spec), _et_simple_statistic, _chi2_critical),
-    "ks-simple": TestKind(_KS_NULLS, 1, lambda c: partial(cdf, c.null_spec), _ks_simple_statistic, _ks_simple_critical),
+    "ks-simple": TestKind(_KS_NULLS, 1, _ks_simple_context, _ks_simple_statistic, _ks_simple_critical),
     "et-regression": TestKind((LinearModelSpec,), 4, _null_model, _et_regression_statistic, _chi2_critical),
     # the lambda looks ensure_lilliefors_table up at each call, so a rebinding of the name is seen
     "ks-regression": TestKind(

@@ -42,13 +42,22 @@ __all__ = [
 ]
 
 
-def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
+def ks_statistic(data, null_cdf: Callable, critical: float | None = None) -> float | np.ndarray:
     """Two-sided sup gap between the empirical CDF and a hypothesized CDF.
 
     D = max_j max(j/n - F(z_(j)), F(z_(j)) - (j-1)/n) over the sorted data.
     A vector gives a float; a (B, n) block gives the B statistics of its
     rows, with the CDF evaluated once over the whole block.  NaN data
     raises ValueError.
+
+    With a critical value (> 0), each row is decided rather than measured:
+    it gives +inf where D > critical, 0.0 where D <= critical, and D itself
+    where an order statistic lies within about _BAND_MARGIN (in
+    probability) of a band bound (_band_table), so that `> critical` is the
+    same row for row as on D.  The decisions need null_cdf to be
+    non-decreasing to within _BAND_MARGIN / 2 and a number at every point,
+    as the package's CDFs are; its bands are built once per process for
+    each (null_cdf by value, n, critical).
     """
     x = np.sort(np.asarray(data, dtype=np.float64), axis=-1)
     if x.ndim not in (1, 2):
@@ -57,6 +66,24 @@ def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
         raise ValueError("ks_statistic requires nonempty data")
     if np.isnan(x[..., -1]).any():  # np.sort puts NaN last
         raise ValueError("ks_statistic requires data without NaN")
+    if critical is None:
+        return _sup_gap(x, null_cdf)
+    if not critical > 0.0:
+        raise ValueError(f"critical must be positive, got {critical}")
+    n = x.shape[-1]
+    low_reject, low_accept, high_accept, high_reject = _bands(null_cdf, n, float(critical))
+    rows = x.reshape(-1, n)
+    reject = ((rows <= low_reject) | (rows >= high_reject)).any(axis=-1)
+    settled = reject | ((rows >= low_accept) & (rows <= high_accept)).all(axis=-1)
+    d = np.where(reject, np.inf, 0.0)
+    margin = np.flatnonzero(~settled)
+    if margin.size:
+        d[margin] = _sup_gap(rows[margin] if x.ndim == 2 else x, null_cdf)
+    return d if x.ndim == 2 else float(d[0])
+
+
+def _sup_gap(x: np.ndarray, null_cdf: Callable) -> float | np.ndarray:
+    """D of sorted data, a vector or a (B, n) block."""
     n = x.shape[-1]
     f = eval_vectorized(null_cdf, x)
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -65,6 +92,98 @@ def ks_statistic(data, null_cdf: Callable) -> float | np.ndarray:
     if x.ndim == 1:
         return max(float(d_plus), float(d_minus), 0.0)
     return np.maximum(np.maximum(d_plus, d_minus), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# KS acceptance bands (Massey, JASA 1951): D > c iff some order statistic
+# x_(j) leaves [F^-1(j/n - c), F^-1((j-1)/n + c)]
+# ---------------------------------------------------------------------------
+
+# Margin, in probability, between a band bound and the CDF values it
+# certifies; order statistics closer than about this to a bound get the
+# exact D.  It is far above the CDFs' rounding (about 1e-12) and equals the
+# margin audit's delta (ROADMAP item 7).
+_BAND_MARGIN = 1e-6
+_DBL_MAX = np.finfo(np.float64).max
+# flips the magnitude bits of a negative double, so that its bits read as an
+# int64 order as the doubles do (and back again)
+_MAGNITUDE = np.int64(2**63 - 1)
+
+
+def _flip(bits: np.ndarray) -> np.ndarray:
+    return bits ^ ((bits >> 63) & _MAGNITUDE)
+
+
+def _bands(null_cdf: Callable, n: int, critical: float) -> tuple[np.ndarray, ...]:
+    """_band_table for null_cdf, keyed by value: each chunk a worker
+    unpickles holds a new partial of the same function and spec."""
+    if isinstance(null_cdf, functools.partial):
+        key = (null_cdf.func, null_cdf.args, tuple(sorted(null_cdf.keywords.items())))
+    else:
+        key = (null_cdf, (), ())
+    try:
+        hash(key)
+    except TypeError:  # a partial over unhashable arguments builds its bands each call
+        return _band_table.__wrapped__(*key, n, critical)
+    return _band_table(*key, n, critical)
+
+
+@functools.lru_cache(maxsize=64)
+def _band_table(func: Callable, args: tuple, keywords: tuple, n: int, critical: float) -> tuple[np.ndarray, ...]:
+    """(low_reject, low_accept, high_accept, high_reject), each of length n,
+    for F = func(*args, x, **keywords).
+
+    j/n - F(x_(j)) > c iff F(x_(j)) lies below about phi_j = j/n - c, and
+    F(x_(j)) - (j-1)/n > c iff it lies above about psi_j = (j-1)/n + c.  So
+    with F non-decreasing to within delta/2 (delta = _BAND_MARGIN), a row
+    certainly rejects when some x_(j) <= low_reject[j], where F < phi_j -
+    delta, or x_(j) >= high_reject[j], where F >= psi_j + delta; it
+    certainly does not when every x_(j) lies in [low_accept[j],
+    high_accept[j]], where phi_j + delta <= F < psi_j - delta.  A bound
+    that no double in [-DBL_MAX, DBL_MAX] certifies is NaN, which no data
+    passes.
+    """
+    null_cdf = functools.partial(func, *args, **dict(keywords))
+    j = np.arange(1, n + 1, dtype=np.float64)
+    phi, psi = j / n - critical, (j - 1.0) / n + critical
+    targets = np.concatenate([phi - _BAND_MARGIN, phi + _BAND_MARGIN, psi - _BAND_MARGIN, psi + _BAND_MARGIN])
+    below, above = _bracket(null_cdf, targets)
+    bands = (below[:n], above[n : 2 * n], below[2 * n : 3 * n], above[3 * n :])
+    for band in bands:
+        band.flags.writeable = False
+    return bands
+
+
+def _bracket(null_cdf: Callable, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubles lo with F(lo) < p and hi with F(hi) >= p, per target, NaN
+    where the search holds none.
+
+    Bisects over the ordered bits of the doubles in [-DBL_MAX, DBL_MAX],
+    from the CDF at both ends, until the two bounds are adjacent doubles or
+    their CDF values lie within _BAND_MARGIN: about 30 steps near the
+    bulk, one CDF call over all targets each.
+    """
+    lo = np.full(p.shape, _flip(np.array(-_DBL_MAX).view(np.int64)))
+    hi = np.full(p.shape, np.array(_DBL_MAX).view(np.int64))
+    with np.errstate(over="ignore"):  # a scale overflows to inf out here, where F is 0 or 1
+        f_lo = eval_vectorized(null_cdf, _flip(lo).view(np.float64))
+        f_hi = eval_vectorized(null_cdf, _flip(hi).view(np.float64))
+        # a target at or below F(-DBL_MAX) has hi there, one above F(DBL_MAX) lo there
+        low, high = f_lo >= p, f_hi < p
+        hi[low], f_hi[low] = lo[low], f_lo[low]
+        lo[high], f_lo[high] = hi[high], f_hi[high]
+        while True:
+            open_ = np.flatnonzero((f_lo < p) & (p <= f_hi) & (lo + 1 < hi) & (f_hi - f_lo > _BAND_MARGIN))
+            if not open_.size:
+                break
+            a, b = lo[open_], hi[open_]
+            mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2), without overflow
+            f_mid = eval_vectorized(null_cdf, _flip(mid).view(np.float64))
+            left = f_mid < p[open_]
+            lo[open_[left]], f_lo[open_[left]] = mid[left], f_mid[left]
+            hi[open_[~left]], f_hi[open_[~left]] = mid[~left], f_mid[~left]
+    lo_x, hi_x = _flip(lo).view(np.float64), _flip(hi).view(np.float64)
+    return np.where(f_lo < p, lo_x, np.nan), np.where(f_hi >= p, hi_x, np.nan)
 
 
 # terms of the alternating series that kolmogorov_sf sums

@@ -15,8 +15,9 @@ one of ``normal_quantile``) runs over the whole flattened array, and the
 others run only on the indices that fall in them, overwriting those
 entries.  ``erf`` runs its small regime and ``erfc``'s over the whole
 array and selects between them.  Every regime keeps its coefficients,
-bounds and operation order, so a value does not depend on the array
-around it.  The six rational regimes evaluate every polynomial with
+bounds and operation order, so a non-NaN value does not depend on the
+array around it; a NaN's sign bit may (numpy's SIMD and scalar loops
+differ there).  The six rational regimes evaluate every polynomial with
 ``_horner`` (Horner's rule in place, ``out += c; out *= r``, the same two
 roundings per step as ``out * r + c``) from tables of ascending powers.
 

@@ -222,8 +222,11 @@ def simulate_model(
     X = np.ones((len(u), n, model.k))
     X[:, :, 1:] = u[:, :d].reshape(len(u), model.k - 1, n).transpose(0, 2, 1)
     y = X @ np.asarray(model.beta) + sample_using(errors, n, u[:, d:])
-    if not np.abs(y).max() <= 0.5 * math.sqrt(sys.float_info.max / n):  # NaN fails it
-        message = f"error process {spec_label(errors)} gave non-finite values at n = {n}"
+    bound = 0.5 * math.sqrt(sys.float_info.max / n)
+    peak = np.abs(y).max()
+    if not peak <= bound:  # NaN fails it
+        gave = f"values past sqrt(DBL_MAX / n) / 2 = {bound:.3g}" if math.isfinite(peak) else "non-finite values"
+        message = f"error process {spec_label(errors)} gave {gave} at n = {n}"
         innovation = getattr(errors, "innovation", None)
         raise ValueError(message + (f" (innovation {spec_label(innovation)})" if innovation else ""))
     return (y[0], X[0]) if trials is None else (y, X)

@@ -363,7 +363,9 @@ class TestRunPowerStudy:
             null_spec=LinearModelSpec(beta=(1.0, 5.0), sigma2=4.0),
             lilliefors_trials=1000,
         )
-        with pytest.raises(ValueError, match=f"error process ar:{rho[0]:g} gave non-finite values"):
+        # AR(1.5)'s finite values are named by the bound they pass, sqrt(DBL_MAX / 1000) / 2
+        gave = r"values past sqrt\(DBL_MAX / n\) / 2 = 2.12e\+152" if rho == (1.5,) else "non-finite values"
+        with pytest.raises(ValueError, match=f"error process ar:{rho[0]:g} gave {gave} at n = {n}"):
             hz.run_power_study(cfg)
 
     @pytest.mark.parametrize("test", ["et-regression", "ks-regression"])
@@ -517,7 +519,10 @@ def test_block_statistic_matches_library(test, n):
     """A test kind's block statistic is, row for row and byte for byte, the
     statistic of the library's single-dataset test on the same stream; the
     ks-regression block at the canonical null of the design (beta = 0,
-    N(0, 1) errors) is the calibration trial's."""
+    N(0, 1) errors) is the calibration trial's.  The ks-simple block is
+    decided at the critical (kstest.ks_statistic): it rejects where the
+    library's D does, its rows near the critical are that D byte for byte,
+    and ks_statistic without the critical gives D byte for byte."""
     kind = hz.TEST_KINDS[test]
     null = DEFAULT_MODEL if kind.regression else Normal(0.0, 1.0)
     alts = _REGRESSION_ALTS if kind.regression else _SIMPLE_ALTS
@@ -527,7 +532,16 @@ def test_block_statistic_matches_library(test, n):
     seeds = [SeedSpec(2024, first.stream_id + t) for t in range(5)]
     for alt in alts:
         block = kind.statistic(context, alt, n, first, len(seeds))
-        assert _bytes(block) == _bytes(_library_statistic(test, null, alt, n, seed) for seed in seeds)
+        library = np.array([_library_statistic(test, null, alt, n, seed) for seed in seeds])
+        if test == "ks-simple":
+            null_cdf, criticals = context
+            critical = kind.critical(config, None, n)
+            assert criticals[n] == critical
+            assert (block > critical).tolist() == (library > critical).tolist()
+            margin = (block != 0.0) & (block != math.inf)
+            assert _bytes(block[margin]) == _bytes(library[margin])
+            block = ks.ks_statistic(sample(alt, n, first, len(seeds)), null_cdf)
+        assert _bytes(block) == _bytes(library)
     if test == "ks-regression":
         canonical = kind.context(replace(config, null_spec=LinearModelSpec((0.0, 0.0), 1.0)))
         block = kind.statistic(canonical, Normal(0.0, 1.0), n, first, len(seeds))
@@ -880,17 +894,24 @@ def test_benchmark_plan(tmp_path, monkeypatch, workload):
 
 
 
-@pytest.mark.parametrize("workload", ["et-simple", "ks-simple", "regression"])
-def test_benchmark_digests(tmp_path, workload):
-    """One perfbench/study.py pass at the default seed writes the preset CSVs
-    that perfbench/digests.json pins, so a change of output fails here and
-    not only in the benchmark."""
+@pytest.mark.parametrize(
+    "workload, seed",
+    [
+        pytest.param(workload, seed, id=workload if seed == hz.DEFAULT_SEED else f"{workload}-seed{seed}")
+        for workload in ("et-simple", "ks-simple", "regression")
+        for seed in (hz.DEFAULT_SEED, 7)
+    ],
+)
+def test_benchmark_digests(tmp_path, workload, seed):
+    """One perfbench/study.py pass, at the default seed and at seed 7, writes
+    the preset CSVs that perfbench/digests.json pins, so a change of output
+    fails here and not only in the benchmark."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     argv = [sys.executable, str(root / "perfbench" / "study.py"), "--workload", workload, "--out", str(tmp_path)]
-    run = subprocess.run([*argv, "--seed", str(hz.DEFAULT_SEED)], cwd=tmp_path, env=env, capture_output=True)
+    run = subprocess.run([*argv, "--seed", str(seed)], cwd=tmp_path, env=env, capture_output=True)
     assert run.returncode == 0, run.stderr.decode()
-    pinned = json.loads((root / "perfbench" / "digests.json").read_text())[workload][str(hz.DEFAULT_SEED)]
+    pinned = json.loads((root / "perfbench" / "digests.json").read_text())[workload][str(seed)]
     assert {name: hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() for name in pinned} == pinned
 
 _FAULTS_SCRIPT = """

@@ -1,13 +1,19 @@
+import contextlib
 import math
 import multiprocessing
+import os
+import pickle
 import re
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entropygof import harness as hz
 from entropygof import kstest as ks
-from entropygof import sampling
+from entropygof import sampling, tables
 from entropygof.numerics import normal_cdf, normal_quantile
 from entropygof.regression import (
     LinearModelSpec,
@@ -16,7 +22,16 @@ from entropygof.regression import (
     simulate_model,
     standardized_residuals,
 )
-from entropygof.sampling import Normal, SeedSpec, sample
+from entropygof.sampling import (
+    Cauchy,
+    CenteredLogNormal,
+    Exponential,
+    Normal,
+    SeedSpec,
+    StudentT,
+    Uniform,
+    sample,
+)
 
 K_ALPHA_05 = 1.3580986393225506  # frozen: bisection on the limit series at 40 digits
 D_GOLDEN_3PT = 0.1746780794018763  # 1/3 - Phi(-1)
@@ -381,3 +396,171 @@ class TestCalibrationCache:
         assert ks.CalibrationCache(path).get(40, 0.05, model.k, 1000, 3) is None
         cold = ks.lilliefors_critical(model, 40, 0.05, 1000, 3)
         assert ks.lilliefors_critical(model, 40, 0.05, 1000, 3, ks.CalibrationCache(path)) == cold != 0.123456
+
+
+@contextlib.contextmanager
+def _band_margin(delta: float):
+    """ks._BAND_MARGIN set to delta, with no band of another margin cached."""
+    kept = ks._BAND_MARGIN
+    ks._band_table.cache_clear()
+    ks._BAND_MARGIN = delta
+    try:
+        yield
+    finally:
+        ks._BAND_MARGIN = kept
+        ks._band_table.cache_clear()
+
+
+# one or two nulls of every type a ks-simple study takes
+_BAND_NULLS = (
+    Normal(0.0, 1.0),
+    Normal(1.0, 0.5),
+    Uniform(-math.sqrt(3.0), math.sqrt(3.0)),
+    Exponential(1.0, -1.0),
+    Cauchy(0.0, 1.0),
+    StudentT(3, 1.0),
+    StudentT(8, 2.0),
+    CenteredLogNormal(0.5),
+)
+_A4_ALTERNATIVES = tuple(alt for _, alt in tables._NON_NORMAL)
+
+
+def _near_bound(x: np.ndarray, bound: float, j: int, ulps: int) -> np.ndarray:
+    """The sorted row x with its order statistic j moved to ulps doubles
+    from bound, the others moved just enough to keep it at rank j."""
+    v = bound
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, math.copysign(math.inf, ulps))
+    x = np.sort(x)
+    x[:j], x[j], x[j + 1 :] = np.minimum(x[:j], v), v, np.maximum(x[j + 1 :], v)
+    return x
+
+
+class TestBandDecision:
+    def test_nulls_cover_every_simple_null_type(self):
+        assert {type(null) for null in _BAND_NULLS} == set(hz._KS_NULLS)
+
+    @pytest.mark.parametrize("delta", [ks._BAND_MARGIN, 0.02])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        null=st.sampled_from(_BAND_NULLS),
+        n=st.sampled_from([1, 2, 25, 1000]),
+        alpha=st.sampled_from([0.01, 0.05, 0.2]),
+        seed=st.integers(0, 2**32),
+        sources=st.lists(st.sampled_from((None,) + _A4_ALTERNATIVES), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_decisions_match_statistic(self, delta, null, n, alpha, seed, sources, data):
+        """At the shipped margin and at a wide one, every row decides as its D
+        does, and a row that gives neither +inf nor 0.0 gives D byte for byte;
+        rows are draws from the null or an a4 alternative, some with an order
+        statistic a few doubles from a band bound."""
+        null_cdf = partial(sampling.cdf, null)
+        critical = ks.ks_critical_simple(n, alpha)
+        with _band_margin(delta):
+            bands = ks._bands(null_cdf, n, critical)
+            rows = []
+            for b, source in enumerate(sources):
+                x = sample(null if source is None else source, n, SeedSpec(seed, b))
+                if data.draw(st.booleans(), label="near a bound"):
+                    j = data.draw(st.integers(0, n - 1), label="j")
+                    bound = bands[data.draw(st.integers(0, 3), label="band")][j]
+                    if abs(bound) < 1e300:  # not NaN, nor a bracket end, where a CDF's scale overflows
+                        x = _near_bound(x, bound, j, data.draw(st.integers(-3, 3), label="ulps"))
+                rows.append(x)
+            block = np.array(rows)
+            exact = ks.ks_statistic(block, null_cdf)
+            decided = ks.ks_statistic(block, null_cdf, critical)
+            assert (decided > critical).tolist() == (exact > critical).tolist()
+            margin = (decided != 0.0) & (decided != math.inf)
+            assert decided[margin].tobytes() == exact[margin].tobytes()
+            vector = ks.ks_statistic(block[0], null_cdf, critical)
+            assert isinstance(vector, float) and np.float64(vector).tobytes() == decided[:1].tobytes()
+            block[-1, -1] = math.nan
+            with pytest.raises(ValueError, match="NaN"):
+                ks.ks_statistic(block, null_cdf, critical)
+
+    def test_wide_margin_takes_the_exact_path(self):
+        """At a margin of 0.02 the rows near the critical get D; at the
+        shipped margin none of these does."""
+        null_cdf = partial(sampling.cdf, Normal(0.0, 1.0))
+        critical = ks.ks_critical_simple(100, 0.05)
+        block = sample(StudentT(8, 1.0), 100, SeedSpec(11, 0), 500)
+        exact = ks.ks_statistic(block, null_cdf)
+        for delta, least in ((ks._BAND_MARGIN, 0), (0.02, 10)):
+            with _band_margin(delta):
+                decided = ks.ks_statistic(block, null_cdf, critical)
+            margin = (decided != 0.0) & (decided != math.inf)
+            assert np.count_nonzero(margin) >= least
+            assert decided[margin].tobytes() == exact[margin].tobytes()
+            assert ((decided > critical) == (exact > critical)).all()
+
+    def test_any_cdf_callable(self):
+        """A scalar-only CDF and a partial over unhashable arguments decide as
+        their D does."""
+        block = sample(Cauchy(0.0, 0.7), 10, SeedSpec(12, 0), 40)
+        critical = ks.ks_critical_simple(10, 0.05)
+        scaled = partial(lambda scale, x: normal_cdf(x / scale[0]), np.array([1.0]))
+        for null_cdf in (_scalar_only_normal_cdf, scaled):
+            exact = ks.ks_statistic(block, null_cdf)
+            decided = ks.ks_statistic(block, null_cdf, critical)
+            assert ((decided > critical) == (exact > critical)).all()
+
+    def test_critical_must_be_positive(self):
+        for critical in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="critical"):
+                ks.ks_statistic([0.1, 0.2], normal_cdf, critical)
+
+    def test_study_builds_each_band_once(self):
+        """A study builds one band table per sample size and reads it for
+        every block; a context a worker unpickles reads the same table."""
+        ks._band_table.cache_clear()
+        kind = hz.TEST_KINDS["ks-simple"]
+        cfg = hz.PowerStudyConfig(
+            test="ks-simple", alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 1000), trials=200
+        )
+        hz.run_power_study(cfg)
+        info = ks._band_table.cache_info()
+        assert info.misses == 2 and info.hits >= 2 * 2 * 6  # 7 blocks of up to 32 rows at n = 1000
+        kind.statistic(pickle.loads(pickle.dumps(kind.context(cfg))), Cauchy(0.0, 1.0), 25, SeedSpec(1, 0), 10)
+        assert ks._band_table.cache_info().misses == 2
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="counts builds through a forked patch")
+    def test_workers_build_each_band_once(self, monkeypatch, tmp_path):
+        """Each worker process builds a band table at most once per sample
+        size, though every chunk it runs unpickles a new partial."""
+        log = tmp_path / "builds"
+        bracket = ks._bracket
+
+        def logged(null_cdf, p):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {len(p) // 4}\n")
+            return bracket(null_cdf, p)
+
+        monkeypatch.setattr(ks, "_bracket", logged)
+        ks._band_table.cache_clear()
+        cfg = hz.PowerStudyConfig(
+            test="ks-simple", alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 100), trials=200
+        )
+        hz.run_power_study(cfg, workers=2)
+        builds = log.read_text().splitlines()
+        assert len(builds) == len(set(builds)) and {line.split()[1] for line in builds} == {"25", "100"}
+        assert str(os.getpid()) not in {line.split()[0] for line in builds}
+
+
+def test_a4_rows_do_not_depend_on_workers_blocks_or_bands(monkeypatch):
+    """The a4 study gives the same rows at workers 1 and 2, at one trial per
+    block, and with every trial's exact D in place of its decision."""
+    cfg = tables.table_config("a4", trials=100, master_seed=24)
+    rows = hz.run_power_study(cfg).rows
+    assert hz.run_power_study(cfg, workers=2).rows == rows
+    kind = hz.TEST_KINDS["ks-simple"]
+
+    def exact(context, alt, n, seed, trials):
+        return ks.ks_statistic(sample(alt, n, seed, trials), context[0])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_WORDS", 1)
+        assert hz.run_power_study(cfg).rows == rows
+    monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=exact))
+    assert hz.run_power_study(cfg).rows == rows
