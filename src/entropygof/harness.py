@@ -85,7 +85,12 @@ class TestKind:
     rejects when its statistic exceeds the critical value.  ks-simple's
     context holds those criticals too, and its statistic is the trial's
     decision at them (kstest.ks_statistic with a critical): +inf, 0.0 or,
-    near the critical, D itself.  Entries call
+    near the critical, D itself.  The entropy kinds' contexts hold the
+    chi-square(1) critical, and their statistic is the decision at it
+    (maxent.solve_maxent with a critical): +inf, 0.0 or, near the
+    critical, the statistic itself.  A regression kind's context is (model,
+    critical), where ks-regression's critical is None: it is calibrated
+    only after the first row.  Entries call
     the layer functions by their names in this module, so tracing that
     rebinds those names sees every call.
     """
@@ -101,10 +106,14 @@ class TestKind:
         return self.nulls == (LinearModelSpec,)
 
 
+def _et_simple_context(config: PowerStudyConfig):
+    return (*null_constraint(config.null_spec), chi2_1_critical(config.alpha))
+
+
 def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
-    mu, sigma, constraint = context
+    mu, sigma, constraint, critical = context
     g = constraint.values(standardize(sample(alt, n, seed, trials), mu, sigma))
-    return solve_maxent(g).statistic
+    return solve_maxent(g, critical=critical).statistic
 
 
 def _ks_simple_context(config: PowerStudyConfig):
@@ -116,14 +125,15 @@ def _ks_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec,
     return ks_statistic(sample(alt, n, seed, trials), null_cdf, criticals[n])
 
 
-def _et_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+def _et_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    model, critical = context
     y, X = simulate_model(model, n, seed, alt, trials)
     z = ratio_transform(ols_fit(y, X).residuals)
-    return solve_maxent(np.sin(z)).statistic
+    return solve_maxent(np.sin(z), critical=critical).statistic
 
 
-def _ks_regression_statistic(model: LinearModelSpec, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
-    y, X = simulate_model(model, n, seed, alt, trials)
+def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
+    y, X = simulate_model(context[0], n, seed, alt, trials)
     return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
 
 
@@ -144,8 +154,12 @@ def _ks_simple_critical(config: PowerStudyConfig, cache, n: int) -> float:
     return ks_critical_simple(n, config.alpha)
 
 
-def _null_model(config: PowerStudyConfig) -> LinearModelSpec:
-    return config.null_spec
+def _et_regression_context(config: PowerStudyConfig):
+    return config.null_spec, chi2_1_critical(config.alpha)
+
+
+def _ks_regression_context(config: PowerStudyConfig):
+    return config.null_spec, None
 
 
 # et-simple's nulls have a CF constraint (moments.null_constraint); ks-simple's
@@ -156,12 +170,12 @@ _KS_NULLS = (Normal, Uniform, Exponential, Cauchy, StudentT, CenteredLogNormal)
 TEST_KINDS: dict[str, TestKind] = {
     # name: TestKind(nulls, min_n, context, statistic, critical); the et-simple
     # context holds the null's quadrature target, computed once per study
-    "et-simple": TestKind(_ET_NULLS, 2, lambda c: null_constraint(c.null_spec), _et_simple_statistic, _chi2_critical),
+    "et-simple": TestKind(_ET_NULLS, 2, _et_simple_context, _et_simple_statistic, _chi2_critical),
     "ks-simple": TestKind(_KS_NULLS, 1, _ks_simple_context, _ks_simple_statistic, _ks_simple_critical),
-    "et-regression": TestKind((LinearModelSpec,), 4, _null_model, _et_regression_statistic, _chi2_critical),
+    "et-regression": TestKind((LinearModelSpec,), 4, _et_regression_context, _et_regression_statistic, _chi2_critical),
     # the lambda looks ensure_lilliefors_table up at each call, so a rebinding of the name is seen
     "ks-regression": TestKind(
-        (LinearModelSpec,), 4, _null_model, _ks_regression_statistic, lambda *a: ensure_lilliefors_table(*a)
+        (LinearModelSpec,), 4, _ks_regression_context, _ks_regression_statistic, lambda *a: ensure_lilliefors_table(*a)
     ),
 }
 
@@ -287,8 +301,8 @@ def _run_chunk(payload) -> np.ndarray:
     """
     test, alt, n, master_seed, first, stop, context = payload
     kind = TEST_KINDS[test]
-    # the regression kinds' context is the model, whose design is drawn first
-    words = trial_words(context, n, alt) if kind.regression else uniform_words(alt, n)
+    # a regression kind's context starts with the model, whose design is drawn first
+    words = trial_words(context[0], n, alt) if kind.regression else uniform_words(alt, n)
     blocks = seed_blocks(master_seed, first, stop, words, alt)
     return np.concatenate([_block_statistics(kind.statistic, context, alt, n, *block) for block in blocks])
 

@@ -165,23 +165,22 @@ def _bracket(null_cdf: Callable, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     lo = np.full(p.shape, _flip(np.array(-_DBL_MAX).view(np.int64)))
     hi = np.full(p.shape, np.array(_DBL_MAX).view(np.int64))
-    with np.errstate(over="ignore"):  # a scale overflows to inf out here, where F is 0 or 1
-        f_lo = eval_vectorized(null_cdf, _flip(lo).view(np.float64))
-        f_hi = eval_vectorized(null_cdf, _flip(hi).view(np.float64))
-        # a target at or below F(-DBL_MAX) has hi there, one above F(DBL_MAX) lo there
-        low, high = f_lo >= p, f_hi < p
-        hi[low], f_hi[low] = lo[low], f_lo[low]
-        lo[high], f_lo[high] = hi[high], f_hi[high]
-        while True:
-            open_ = np.flatnonzero((f_lo < p) & (p <= f_hi) & (lo + 1 < hi) & (f_hi - f_lo > _BAND_MARGIN))
-            if not open_.size:
-                break
-            a, b = lo[open_], hi[open_]
-            mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2), without overflow
-            f_mid = eval_vectorized(null_cdf, _flip(mid).view(np.float64))
-            left = f_mid < p[open_]
-            lo[open_[left]], f_lo[open_[left]] = mid[left], f_mid[left]
-            hi[open_[~left]], f_hi[open_[~left]] = mid[~left], f_mid[~left]
+    f_lo = eval_vectorized(null_cdf, _flip(lo).view(np.float64))
+    f_hi = eval_vectorized(null_cdf, _flip(hi).view(np.float64))
+    # a target at or below F(-DBL_MAX) has hi there, one above F(DBL_MAX) lo there
+    low, high = f_lo >= p, f_hi < p
+    hi[low], f_hi[low] = lo[low], f_lo[low]
+    lo[high], f_lo[high] = hi[high], f_hi[high]
+    while True:
+        open_ = np.flatnonzero((f_lo < p) & (p <= f_hi) & (lo + 1 < hi) & (f_hi - f_lo > _BAND_MARGIN))
+        if not open_.size:
+            break
+        a, b = lo[open_], hi[open_]
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2), without overflow
+        f_mid = eval_vectorized(null_cdf, _flip(mid).view(np.float64))
+        left = f_mid < p[open_]
+        lo[open_[left]], f_lo[open_[left]] = mid[left], f_mid[left]
+        hi[open_[~left]], f_hi[open_[~left]] = mid[~left], f_mid[~left]
     lo_x, hi_x = _flip(lo).view(np.float64), _flip(hi).view(np.float64)
     return np.where(f_lo < p, lo_x, np.nan), np.where(f_hi >= p, hi_x, np.nan)
 

@@ -18,6 +18,25 @@ doubling, the Newton steps -- makes one pass of numpy calls per step for
 all rows still in it, and a row leaves when it meets its own tolerance or
 the step cap.  The arithmetic of each row is that of a vector solved
 alone, so a row's solution does not depend on the block around it.
+
+A power study needs only whether the statistic exceeds a critical c, and
+the dual bounds it at every step.  f(lambda) = ln n - ln Z(lambda) is
+concave, its slope is the tilted mean, and its supremum is the
+KL(pi || uniform) of the solution.  So each f(lambda) is a lower bound LB,
+and the tangents at the two bracket ends -- the latest iterates on either
+side of the root, of slopes > 0 and < 0 -- meet at an upper bound UB.  The
+exact statistic stops at an iterate lambda_T with |mean| <= tol max|g_j|,
+where it is 2n (f(lambda_T) - lambda_T mean) and lies within 2n tol
+max|g_j| max(|lo|, |hi|) of 2n sup f, since lambda_T and the root lie in
+the bracket [lo, hi].  With a critical, a row therefore leaves as +inf when
+2n LB > c + s and as 0.0 when 2n UB < c - s, where the slack
+s = delta + 4n max(|lo|, |hi|) tol max|g_j| holds that gap twice over and
+delta = 1e-6 (_DECISION_MARGIN) the rounding.  A row decided neither way
+keeps the exact arithmetic and ends with its exact statistic, bit for bit;
+so `statistic > c` is that of the exact solve.  The one exception is a
+row whose exact iteration would stop at its step cap (+inf): that needs a
+tol below the rounding of the tilted mean, and such a row may be decided
+first.
 """
 
 from __future__ import annotations
@@ -31,6 +50,10 @@ __all__ = ["MaxEntSolution", "solve_maxent"]
 
 _MAX_ITER = 200
 _FEASIBILITY_MARGIN = 1e-14
+# Margin, in statistic units, between a decided row's bounds and the
+# critical.  It equals the margin audit's delta (ROADMAP item 7), far above
+# the rounding of the bounds and of the statistic (about 1e-12 at n = 1000).
+_DECISION_MARGIN = 1e-6
 # max |g_j| of a nonzero row: half of float64's exponent range either way,
 # so g_j**2 stays finite and normal, and so do 1 / max |g_j| and the lambdas
 _MIN_SCALE = 2.0 ** (np.finfo(np.float64).minexp // 2)
@@ -45,7 +68,9 @@ class MaxEntSolution:
     divergence from uniform), or +inf when the constraint is infeasible or
     the iteration failed.  iterations counts the steps spent: 0 when the
     constraint is infeasible on its face, 200 when the iteration stopped
-    at its cap.
+    at its cap.  A row decided at a critical (solve_maxent) has statistic
+    +inf or 0.0 and NaN weights, lam, log_partition and residual; it counts
+    as converged, and its iterations count the steps it took.
 
     The solution of a (B, n) block has (B, n) weights and one entry per
     row in lam, log_partition, statistic and residual; its iterations is
@@ -128,9 +153,33 @@ class _Rows:
         self.residual[rows] = np.abs(mean)
         self.iterations[rows] = iterations
 
+    def record_decided(self, rows: np.ndarray, statistic: np.ndarray, iterations: np.ndarray) -> None:
+        """Rows decided at a critical, as +inf or 0.0, without a solution."""
+        for field in (self.lam, self.log_partition, self.residual, self.weights):
+            field[rows] = math.nan
+        self.statistic[rows] = statistic
+        self.iterations[rows] = iterations
 
-def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
+
+def _dual(log_n: float, m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The dual f(lambda) = ln n - ln Z(lambda), from _tilt's m and z."""
+    return log_n - m - np.log(z)
+
+
+def _verdicts(critical: float, two_n: int, tangent_term, lo, hi, slope_lo, slope_hi, dual_lo, dual_hi) -> np.ndarray:
+    """+inf where the row's statistic certainly exceeds critical, 0.0 where
+    it certainly does not, NaN where the bounds of the bracket ends cannot
+    tell (module docstring); tangent_term is the row's 4n tol max|g_j|."""
+    slack = _DECISION_MARGIN + tangent_term * np.maximum(np.abs(lo), np.abs(hi))
+    lower = two_n * np.maximum(dual_lo, dual_hi)
+    # where the tangents at lo (slope > 0) and at hi (slope < 0) meet
+    upper = two_n * (dual_lo + slope_lo * (dual_hi - dual_lo + slope_hi * (lo - hi)) / (slope_lo - slope_hi))
+    return np.where(lower > critical + slack, math.inf, np.where(upper < critical - slack, 0.0, math.nan))
+
+
+def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float, critical: float | None) -> _Rows:
     b, n = g.shape
+    log_n = math.log(n)
     out = _Rows(b, n)
     # a huge tol overflows to inf, which accepts lambda = 0 as any tol >= 1
     # does; inf * 0 on an all-zero row is never read
@@ -160,15 +209,17 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
         return out
 
     # bracket a sign change of the tilted mean by doubling outward from 0;
-    # the rows step together, so they share one step count
+    # the rows step together, so they share one step count.  f_ is the
+    # tilted mean there and d_ the dual, which is 0 at lambda = 0
     row_scale = scale[rows]
     step = 1.0 / row_scale
     curved = var > 0.0
     step[curved] = np.abs(mean[curved]) / var[curved]
     step = np.maximum(step, 1e-3 / row_scale)
-    mean0, lo, f_lo = mean, np.zeros_like(mean), mean
+    mean0, lo, f_lo, d_lo = mean, np.zeros_like(mean), mean, np.zeros_like(mean)
     hi = np.where(mean > 0.0, step, -step)
-    f_hi = _tilt(ga, hi, gga, ga_min, ga_max)[2]
+    _, m, f_hi, _, z = _tilt(ga, hi, gga, ga_min, ga_max)
+    d_hi = _dual(log_n, m, z)
     iterations = 1
     bracketed: list[tuple[np.ndarray, ...]] = []
     while True:
@@ -176,19 +227,25 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
         if crossed.any():
             # orient so that psi(lo) > 0 > psi(hi); psi is decreasing in lambda
             up = f_lo[crossed] < 0.0
-            lo_c, hi_c = lo[crossed], hi[crossed]
+            ends = [(a[crossed], c[crossed]) for a, c in ((lo, hi), (f_lo, f_hi), (d_lo, d_hi))]
             bracketed.append(
-                (rows[crossed], np.where(up, hi_c, lo_c), np.where(up, lo_c, hi_c), np.full(up.size, iterations))
+                (
+                    rows[crossed],
+                    *(np.where(up, c, a) for a, c in ends),
+                    *(np.where(up, a, c) for a, c in ends),
+                    np.full(up.size, iterations),
+                )
             )
             keep = ~crossed
-            rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi = (
-                a[keep] for a in (rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi)
+            rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi, d_hi = (
+                a[keep] for a in (rows, ga, gga, ga_min, ga_max, mean0, hi, f_hi, d_hi)
             )
         if rows.size == 0:
             break
-        lo, f_lo = hi, f_hi
+        lo, f_lo, d_lo = hi, f_hi, d_hi
         hi = hi * 2.0
-        f_hi = _tilt(ga, hi, gga, ga_min, ga_max)[2]
+        _, m, f_hi, _, z = _tilt(ga, hi, gga, ga_min, ga_max)
+        d_hi = _dual(log_n, m, z)
         iterations += 1
         if iterations >= _MAX_ITER:
             out.record_failed(rows, np.abs(mean0), iterations)
@@ -196,8 +253,20 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     if not bracketed:
         return out
 
-    # safeguarded Newton steps inside each row's bracket
-    rows, lo, hi, iterations = (np.concatenate(parts) for parts in zip(*bracketed))
+    # safeguarded Newton steps inside each row's bracket; each end keeps the
+    # tilted mean (slope_) and the dual (dual_) at its lambda
+    rows, lo, slope_lo, dual_lo, hi, slope_hi, dual_hi, iterations = (np.concatenate(p) for p in zip(*bracketed))
+    tangent_term = 4.0 * n * abs_tol[rows]
+    if critical is not None:
+        # the bracket's ends may decide a row before its first Newton step
+        verdict = _verdicts(critical, 2 * n, tangent_term, lo, hi, slope_lo, slope_hi, dual_lo, dual_hi)
+        decided = ~np.isnan(verdict)
+        out.record_decided(rows[decided], verdict[decided], iterations[decided])
+        rows, lo, slope_lo, dual_lo, hi, slope_hi, dual_hi, iterations, tangent_term = (
+            a[~decided] for a in (rows, lo, slope_lo, dual_lo, hi, slope_hi, dual_hi, iterations, tangent_term)
+        )
+        if rows.size == 0:
+            return out
     ga = g[rows]
     gga = ga * ga
     ga_min, ga_max = g_min[rows], g_max[rows]
@@ -205,22 +274,33 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
     lam = 0.5 * (lo + hi)
     pi, m, mean, var, z = _tilt(ga, lam, gga, ga_min, ga_max)
     while True:
-        unmet = np.abs(mean) > abs_tol
-        active = unmet & (iterations < _MAX_ITER)
-        if not active.all():
-            met = ~unmet
-            out.record_solved(rows[met], pi[met], lam[met], m[met], z[met], mean[met], iterations[met])
-            capped = unmet & ~active
-            out.record_failed(rows[capped], np.abs(mean[capped]), iterations[capped])
-            rows, ga, gga, ga_min, ga_max, abs_tol, lam, lo, hi, mean, var, iterations = (
-                a[active] for a in (rows, ga, gga, ga_min, ga_max, abs_tol, lam, lo, hi, mean, var, iterations)
-            )
-        if rows.size == 0:
-            return out
-        iterations += 1
+        # lam is the latest iterate on its side of the root: a bracket end
         rising = mean > 0.0
         lo = np.where(rising, lam, lo)
         hi = np.where(rising, hi, lam)
+        unmet = np.abs(mean) > abs_tol
+        decided = np.zeros_like(unmet)
+        if critical is not None:
+            dual = _dual(log_n, m, z)
+            slope_lo, dual_lo = np.where(rising, mean, slope_lo), np.where(rising, dual, dual_lo)
+            slope_hi, dual_hi = np.where(rising, slope_hi, mean), np.where(rising, dual_hi, dual)
+            verdict = _verdicts(critical, 2 * n, tangent_term, lo, hi, slope_lo, slope_hi, dual_lo, dual_hi)
+            decided = ~np.isnan(verdict)
+            out.record_decided(rows[decided], verdict[decided], iterations[decided])
+        active = unmet & ~decided & (iterations < _MAX_ITER)
+        if not active.all():
+            met = ~unmet & ~decided
+            out.record_solved(rows[met], pi[met], lam[met], m[met], z[met], mean[met], iterations[met])
+            capped = unmet & ~decided & ~active
+            out.record_failed(rows[capped], np.abs(mean[capped]), iterations[capped])
+            rows, ga, gga, ga_min, ga_max, abs_tol, tangent_term, lam, lo, hi, mean, var, iterations = (
+                a[active]
+                for a in (rows, ga, gga, ga_min, ga_max, abs_tol, tangent_term, lam, lo, hi, mean, var, iterations)
+            )
+            slope_lo, slope_hi, dual_lo, dual_hi = (a[active] for a in (slope_lo, slope_hi, dual_lo, dual_hi))
+        if rows.size == 0:
+            return out
+        iterations += 1
         # Newton on the decreasing dual mean, where the variance allows it
         candidate = np.full_like(lam, math.nan)
         np.divide(mean, var, out=candidate, where=var > 0.0)
@@ -230,7 +310,7 @@ def _solve_rows(g: np.ndarray, scale: np.ndarray, tol: float) -> _Rows:
         pi, m, mean, var, z = _tilt(ga, lam, gga, ga_min, ga_max)
 
 
-def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
+def solve_maxent(g, tol: float = 1e-10, critical: float | None = None) -> MaxEntSolution:
     """Solve for the entropy-maximal weights satisfying sum pi_j g_j = 0.
 
     g is one vector of n >= 2 constraint values, or a (B, n) block of B
@@ -245,6 +325,14 @@ def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
     1.5e-154 to 6.7e153: half of float64's exponent range either way, so
     that the squares g_j**2 stay finite and normal.  Rows outside raise
     ValueError.
+
+    With a critical (> 0, else ValueError), each row is decided rather than
+    solved where the dual's bounds allow it (module docstring): +inf where
+    the statistic certainly exceeds critical, 0.0 where it certainly does
+    not, and the exact statistic, bit for bit, where its bounds lie within
+    the slack of the critical.  A decided row's lam, log_partition,
+    residual and weights are NaN, and its iterations count the steps it
+    took.  Infeasible rows are +inf as without a critical.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim not in (1, 2) or g.shape[-1] < 2:
@@ -253,12 +341,14 @@ def solve_maxent(g, tol: float = 1e-10) -> MaxEntSolution:
         raise ValueError("constraint values must be finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if critical is not None and not critical > 0.0:
+        raise ValueError(f"critical must be positive, got {critical}")
     block = np.ascontiguousarray(g.reshape(-1, g.shape[-1]))
     scale = np.abs(block).max(axis=1)
     if np.any((scale != 0.0) & ~((_MIN_SCALE <= scale) & (scale <= _MAX_SCALE))):
         raise ValueError("max |g_j| of each row must be 0 or lie in [2**-511, 2**511]")
 
-    out = _solve_rows(block, scale, tol)
+    out = _solve_rows(block, scale, tol, critical)
     if g.ndim == 1:
         return MaxEntSolution(
             weights=out.weights[0],

@@ -503,23 +503,26 @@ def cdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
     contract; rejects AR/MA process specs."""
     if isinstance(spec, (ARProcess, MAProcess)):
         raise TypeError("serial processes have no single marginal CDF here")
-    if isinstance(spec, Normal):
-        out = normal_cdf((x - spec.mu) / spec.sigma)
-    elif isinstance(spec, Uniform):
-        out = np.clip((x - spec.low) / (spec.high - spec.low), 0.0, 1.0)
-    elif isinstance(spec, Exponential):
-        # fmax, not where: a value far below the shift would overflow expm1
-        out = -np.expm1(-spec.rate * np.fmax(x - spec.shift, 0.0))
-    elif isinstance(spec, Cauchy):
-        out = 0.5 + np.arctan((x - spec.loc) / spec.scale) / np.pi
-    elif isinstance(spec, StudentT):
-        out = _student_t_cdf(x / spec.scale, spec.dof)
-    elif isinstance(spec, CenteredLogNormal):
-        sig = math.sqrt(spec.sigma2_log)
-        shifted = x + spec.shift
-        out = np.where(shifted > 0.0, normal_cdf(np.log(np.maximum(shifted, 1e-300)) / sig), 0.0)
-    else:
-        raise TypeError(f"unknown distribution spec {spec!r}")
+    # scaling x overflows to +-inf only where the CDF is 0 or 1, which it
+    # then gives exactly
+    with np.errstate(over="ignore"):
+        if isinstance(spec, Normal):
+            out = normal_cdf((x - spec.mu) / spec.sigma)
+        elif isinstance(spec, Uniform):
+            out = np.clip((x - spec.low) / (spec.high - spec.low), 0.0, 1.0)
+        elif isinstance(spec, Exponential):
+            # fmax, not where: a value far below the shift would overflow expm1
+            out = -np.expm1(-spec.rate * np.fmax(x - spec.shift, 0.0))
+        elif isinstance(spec, Cauchy):
+            out = 0.5 + np.arctan((x - spec.loc) / spec.scale) / np.pi
+        elif isinstance(spec, StudentT):
+            out = _student_t_cdf(x / spec.scale, spec.dof)
+        elif isinstance(spec, CenteredLogNormal):
+            sig = math.sqrt(spec.sigma2_log)
+            shifted = x + spec.shift
+            out = np.where(shifted > 0.0, normal_cdf(np.log(np.maximum(shifted, 1e-300)) / sig), 0.0)
+        else:
+            raise TypeError(f"unknown distribution spec {spec!r}")
     return out
 
 

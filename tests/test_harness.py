@@ -446,7 +446,7 @@ class TestBlockWords:
         assert stepping
         for alt in stepping:
             for n in cfg.sample_sizes:
-                lengths = _block_lengths(monkeypatch, test, alt, n, cfg.null_spec)
+                lengths = _block_lengths(monkeypatch, test, alt, n, hz.TEST_KINDS[test].context(cfg))
                 assert len(lengths) > 1 and min(lengths[:-1]) >= sampling._AR_STEP_ROWS, (alt, n, lengths)
 
 
@@ -519,10 +519,13 @@ def test_block_statistic_matches_library(test, n):
     """A test kind's block statistic is, row for row and byte for byte, the
     statistic of the library's single-dataset test on the same stream; the
     ks-regression block at the canonical null of the design (beta = 0,
-    N(0, 1) errors) is the calibration trial's.  The ks-simple block is
-    decided at the critical (kstest.ks_statistic): it rejects where the
-    library's D does, its rows near the critical are that D byte for byte,
-    and ks_statistic without the critical gives D byte for byte."""
+    N(0, 1) errors) is the calibration trial's.  The ks-simple, et-simple
+    and et-regression blocks are decided at the critical their context
+    holds, which is TestKind.critical's (kstest.ks_statistic and
+    maxent.solve_maxent with a critical): each rejects where the library's
+    statistic does, its rows near the critical are that statistic byte for
+    byte, and the same chain without the critical gives the statistic byte
+    for byte."""
     kind = hz.TEST_KINDS[test]
     null = DEFAULT_MODEL if kind.regression else Normal(0.0, 1.0)
     alts = _REGRESSION_ALTS if kind.regression else _SIMPLE_ALTS
@@ -533,14 +536,16 @@ def test_block_statistic_matches_library(test, n):
     for alt in alts:
         block = kind.statistic(context, alt, n, first, len(seeds))
         library = np.array([_library_statistic(test, null, alt, n, seed) for seed in seeds])
-        if test == "ks-simple":
-            null_cdf, criticals = context
+        if test != "ks-regression":
             critical = kind.critical(config, None, n)
-            assert criticals[n] == critical
+            assert (context[1][n] if test == "ks-simple" else context[-1]) == critical
             assert (block > critical).tolist() == (library > critical).tolist()
             margin = (block != 0.0) & (block != math.inf)
             assert _bytes(block[margin]) == _bytes(library[margin])
-            block = ks.ks_statistic(sample(alt, n, first, len(seeds)), null_cdf)
+            if test == "ks-simple":
+                block = ks.ks_statistic(sample(alt, n, first, len(seeds)), context[0])
+            else:  # the entropy chain with solve_maxent's critical left out
+                block = kind.statistic((*context[:-1], None), alt, n, first, len(seeds))
         assert _bytes(block) == _bytes(library)
     if test == "ks-regression":
         canonical = kind.context(replace(config, null_spec=LinearModelSpec((0.0, 0.0), 1.0)))

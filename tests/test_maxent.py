@@ -1,11 +1,20 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entropygof.maxent as mx
+from entropygof import harness as hz
+from entropygof import sampling
 from entropygof.maxent import MaxEntSolution, solve_maxent
 from entropygof.maxent import _tilt
+from entropygof.moments import build_standard_normal_constraint
+from entropygof.numerics import chi2_1_critical
+from entropygof.sampling import Normal, SeedSpec, StudentT, sample
+from entropygof.tables import table_config
 from helpers import et_statistic, random_feasible_g, simplex_grid_entropy, solve_maxent_reference
 
 # frozen closed forms
@@ -215,6 +224,130 @@ class TestBlock:
         assert solve_maxent(g[[0, 2]]).converged
 
 
+_DUAL_ALTERNATIVES = tuple(dict.fromkeys(alt for name in ("a1", "a3") for alt in table_config(name).alternatives))
+_DUAL_ROW_KINDS = ("alternative", "near-critical", "near-infeasible", "zero", "balanced")
+
+
+def _shifted_to(g: np.ndarray, target: float, tol: float) -> np.ndarray:
+    """g + t with the exact statistic near target, by bisection on t between
+    -mean(g), where the statistic is 0, and -min(g), where the constraint
+    turns infeasible; the statistic grows with t in between."""
+    base, edge = -g.mean(), -g.min()
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if solve_maxent(g + (base + mid * (edge - base)), tol=tol).statistic < target:
+            lo = mid
+        else:
+            hi = mid
+    return g + (base + lo * (edge - base))
+
+
+def _dual_row(kind: str, n: int, critical: float, tol: float, data) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "balanced":  # met at lambda = 0: the tilted mean starts at 0
+        half = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed")).standard_normal(n // 2)
+        return np.concatenate((half, -half, np.zeros(n % 2)))
+    alt = data.draw(st.sampled_from(_DUAL_ALTERNATIVES), label="alternative")
+    g = build_standard_normal_constraint().values(sample(alt, n, SeedSpec(data.draw(st.integers(0, 2**32)), 0)))
+    if kind == "near-critical":
+        sign = data.draw(st.sampled_from((-1.0, 1.0)), label="side")
+        g = _shifted_to(g, critical + sign * 10.0 ** data.draw(st.floats(-9.0, -3.0), label="log10 gap"), tol)
+    elif kind == "near-infeasible":
+        g = g - g.min()
+        g[np.argmin(g)] = -data.draw(st.sampled_from((2e-14, 1e-10, 1e-6)), label="across") * g.max()
+    if data.draw(st.booleans(), label="extreme scale") and g.any():
+        # a power of two keeps the values' bits, with max |g_j| in [2**-511, 2**511]
+        e = data.draw(st.sampled_from((511, -510)), label="exponent")
+        g = g * 2.0 ** (e - math.ceil(math.log2(np.abs(g).max())))
+    return g
+
+
+class TestDualDecision:
+    """solve_maxent with a critical decides rows as the exact statistic does."""
+
+    @pytest.mark.parametrize("delta", [mx._DECISION_MARGIN, 0.05])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from((2, 25, 1000)),
+        alpha=st.sampled_from((0.01, 0.05, 0.2)),
+        tol=st.sampled_from((1e-10, 1e-4)),
+        kinds=st.lists(st.sampled_from(_DUAL_ROW_KINDS), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_decisions_match_statistic(self, delta, n, alpha, tol, kinds, data):
+        """At the shipped margin and at a wide one, every row decides as its
+        exact statistic does, and a row that gives neither +inf nor 0.0 gives
+        that statistic byte for byte.  Rows come from a1/a3 alternatives, some
+        shifted to within 1e-9 to 1e-3 of the critical or to just across
+        infeasibility, or are all-zero or solved at lambda = 0; some are
+        scaled to max |g_j| near 2**511 or 2**-511."""
+        critical = chi2_1_critical(alpha)
+        block = np.array([_dual_row(kind, n, critical, tol, data) for kind in kinds])
+        exact = solve_maxent(block, tol=tol).statistic
+        with mock.patch.object(mx, "_DECISION_MARGIN", delta):
+            decided = solve_maxent(block, tol=tol, critical=critical).statistic
+            vector = solve_maxent(block[0], tol=tol, critical=critical).statistic
+        assert (decided > critical).tolist() == (exact > critical).tolist()
+        margin = (decided != 0.0) & (decided != math.inf)
+        assert decided[margin].tobytes() == exact[margin].tobytes()
+        assert isinstance(vector, float) and np.float64(vector).tobytes() == decided[:1].tobytes()
+
+    def test_slack_covers_the_last_step(self):
+        """At tol = 1e-4 these rows' statistics lie 1e-6 above the critical
+        while 2n sup f lies up to 1e-3 below it: the exact iteration stops
+        where the tilted mean is within tol, and its statistic moves with
+        that last step.  Each row still rejects."""
+        critical = chi2_1_critical(0.05)
+        constraint = build_standard_normal_constraint()
+        rows = [constraint.values(sample(Normal(0.4, 1.0), 25, SeedSpec(seed, 0))) for seed in range(5)]
+        block = np.array([_shifted_to(g, critical + 1e-6, 1e-4) for g in rows])
+        exact, supremum = solve_maxent(block, tol=1e-4).statistic, solve_maxent(block, tol=1e-15).statistic
+        assert (exact > critical).all() and (supremum < critical - 1e-5).all()
+        decided = solve_maxent(block, tol=1e-4, critical=critical).statistic
+        assert (decided > critical).all()
+
+    def test_wide_margin_takes_the_exact_path(self):
+        """At a margin of 0.05 the rows near the critical get their exact
+        statistic; at the shipped margin none of these does."""
+        critical = chi2_1_critical(0.05)
+        constraint = build_standard_normal_constraint()
+        block = constraint.values(sample(StudentT(8, 1.0), 100, SeedSpec(11, 0), 500))
+        exact = solve_maxent(block)
+        for delta, least in ((mx._DECISION_MARGIN, 0), (0.05, 2)):
+            with mock.patch.object(mx, "_DECISION_MARGIN", delta):
+                decided = solve_maxent(block, critical=critical)
+            margin = (decided.statistic != 0.0) & (decided.statistic != math.inf)
+            assert np.count_nonzero(margin) >= least
+            assert decided.statistic[margin].tobytes() == exact.statistic[margin].tobytes()
+            assert ((decided.statistic > critical) == (exact.statistic > critical)).all()
+
+    def test_decided_rows_carry_no_solution(self):
+        """A decided row's lam, log_partition, residual and weights are NaN,
+        and its iterations count the steps it took, fewer than the exact
+        solve's.  An infeasible row is +inf and not converged, as without a
+        critical."""
+        critical = chi2_1_critical(0.05)
+        constraint = build_standard_normal_constraint()
+        g = constraint.values(sample(Normal(0.6, 1.0), 250, SeedSpec(5, 0), 40))
+        g[0] = np.abs(g[0]) + 0.1
+        exact, decided = solve_maxent(g), solve_maxent(g, critical=critical)
+        assert math.isinf(decided.statistic[0]) and not decided.converged and decided.iterations < exact.iterations
+        rows = decided.statistic[1:] != exact.statistic[1:]
+        assert rows.sum() > 30 and set(decided.statistic[1:][rows]) <= {0.0, math.inf}
+        for field in (decided.lam, decided.log_partition, decided.residual, decided.weights):
+            assert np.isnan(field[1:][rows]).all() and not np.isnan(field[1:][~rows]).any()
+        for row in g[1:]:
+            alone = solve_maxent(row, critical=critical)
+            assert alone.converged and alone.iterations <= solve_maxent(row).iterations
+
+    @pytest.mark.parametrize("critical", [0.0, -1.0, math.nan])
+    def test_critical_must_be_positive(self, critical):
+        with pytest.raises(ValueError, match="critical"):
+            solve_maxent([1.0, -0.5, 0.2], critical=critical)
+
+
 class TestStatistic:
     def test_uniform_zero(self):
         for n in (2, 5, 40):
@@ -266,3 +399,24 @@ def test_null_calibration_converges_to_alpha():
         g = constraint.values(sample(Normal(0, 1), 500, SeedSpec(314159, t)))
         rej += solve_maxent(g).statistic > critical
     assert rej / trials == pytest.approx(0.05, abs=0.02)
+
+
+@pytest.mark.parametrize("preset", ["a3", "a5"])
+def test_a3_a5_rows_do_not_depend_on_workers_blocks_or_decisions(monkeypatch, preset):
+    """The a3 and a5 studies give the same rows at workers 1 and 2, at one
+    trial per block, and with every trial's exact statistic in place of its
+    decision."""
+    cfg = table_config(preset, trials=100, master_seed=25)
+    rows = hz.run_power_study(cfg).rows
+    assert hz.run_power_study(cfg, workers=2).rows == rows
+    kind = hz.TEST_KINDS[cfg.test]
+
+    def exact(context, alt, n, seed, trials):
+        # the context's critical is its last entry; without it the chain solves exactly
+        return kind.statistic((*context[:-1], None), alt, n, seed, trials)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_WORDS", 1)
+        assert hz.run_power_study(cfg).rows == rows
+    monkeypatch.setitem(hz.TEST_KINDS, cfg.test, replace(kind, statistic=exact))
+    assert hz.run_power_study(cfg).rows == rows

@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from entropygof import numerics as nm
 from entropygof import sampling as sp
+from entropygof.harness import _KS_NULLS
+from entropygof.kstest import ks_statistic
 
 SQRT3 = math.sqrt(3.0)
 
@@ -312,6 +316,19 @@ class TestBlocks:
             assert row.tobytes() == sp.sample(spec, n, sp.SeedSpec(master_seed, first + b)).tobytes()
 
 
+DBL_MAX = np.finfo(np.float64).max
+# one spec of each ks-simple null type whose scaling of x overflows at DBL_MAX
+_EXTREME_NULLS = (
+    sp.Normal(1.0, 0.5),
+    sp.Uniform(0.0, 0.5),
+    sp.Exponential(3.0, -1.0),
+    sp.Cauchy(0.5, 0.25),
+    sp.StudentT(3, 0.5),
+    sp.StudentT(4, 0.5),
+    sp.CenteredLogNormal(2.0),
+)
+
+
 class TestCdf:
     def test_normal_center(self):
         assert sp.cdf(sp.Normal(0, 1), 0.0) == 0.5
@@ -362,6 +379,20 @@ class TestCdf:
         assert sp.cdf(spec, 0.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
         # far below the shift expm1 overflowed, on values the CDF then set to 0
         assert list(sp.cdf(sp.Exponential(1.0, 0.0), [-1000.0, -np.inf, 0.0])) == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("spec", _EXTREME_NULLS, ids=sp.spec_label)
+    def test_extremes_are_exact_without_warnings(self, spec):
+        """At +-DBL_MAX and +-inf the CDF is exactly 0 or 1, also where
+        scaling x overflows (scales below 1, rates above 1)."""
+        xs = [-DBL_MAX, -math.inf, DBL_MAX, math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp.cdf(spec, xs).tolist() == [0.0, 0.0, 1.0, 1.0]
+            assert [sp.cdf(spec, x) for x in xs] == [0.0, 0.0, 1.0, 1.0]
+            assert ks_statistic([-DBL_MAX], partial(sp.cdf, spec)) == 1.0
+
+    def test_extreme_nulls_cover_every_ks_null_type(self):
+        assert {type(spec) for spec in _EXTREME_NULLS} == set(_KS_NULLS)
 
     def test_process_rejected(self):
         with pytest.raises(TypeError):
