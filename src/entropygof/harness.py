@@ -19,7 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .kstest import CalibrationCache, ks_critical_simple, ks_statistic, lilliefors_critical
+from .kstest import CalibrationCache, ks_bands, ks_critical_simple, ks_statistic, lilliefors_critical
 from .maxent import solve_maxent
 from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
@@ -83,16 +83,16 @@ class TestKind:
     critical(config, cache, n) is the critical value at sample size n,
     taken once per n when the first row's statistics are in.  A trial
     rejects when its statistic exceeds the critical value.  ks-simple's
-    context holds those criticals too, and its statistic is the trial's
-    decision at them (kstest.ks_statistic with a critical): +inf, 0.0 or,
-    near the critical, D itself.  The entropy kinds' contexts hold the
-    chi-square(1) critical, and their statistic is the decision at it
+    context holds the null CDF and, per n, the bands at that critical
+    (kstest.ks_bands, built once per study), and its statistic is the
+    trial's decision against them (kstest.ks_statistic with bands): +inf,
+    0.0 or, near the critical, D itself.  The entropy kinds' contexts hold
+    the chi-square(1) critical, and their statistic is the decision at it
     (maxent.solve_maxent with a critical): +inf, 0.0 or, near the
     critical, the statistic itself.  A regression kind's context is (model,
     critical), where ks-regression's critical is None: it is calibrated
-    only after the first row.  Entries call
-    the layer functions by their names in this module, so tracing that
-    rebinds those names sees every call.
+    only after the first row.  Entries call the layer functions by their
+    names in this module, so tracing that rebinds those names sees every call.
     """
 
     nulls: tuple[type, ...]
@@ -117,12 +117,13 @@ def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec,
 
 
 def _ks_simple_context(config: PowerStudyConfig):
-    return partial(cdf, config.null_spec), {n: ks_critical_simple(n, config.alpha) for n in config.sample_sizes}
+    null_cdf = partial(cdf, config.null_spec)
+    return null_cdf, {n: ks_bands(null_cdf, n, ks_critical_simple(n, config.alpha)) for n in config.sample_sizes}
 
 
 def _ks_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
-    null_cdf, criticals = context
-    return ks_statistic(sample(alt, n, seed, trials), null_cdf, criticals[n])
+    null_cdf, bands = context
+    return ks_statistic(sample(alt, n, seed, trials), null_cdf, bands[n])
 
 
 def _et_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):

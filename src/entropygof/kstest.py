@@ -25,7 +25,7 @@ except ImportError:  # no advisory file locks (Windows): puts are not serialised
     flock = None
 
 from .numerics import eval_vectorized
-from .results import TestResult, ks_decision
+from .results import TestResult, check_dataset, ks_decision
 from .sampling import Normal, SeedSpec, check_count, check_row_trials, first_stream, seed_blocks
 
 if TYPE_CHECKING:
@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ks_statistic",
+    "ks_bands",
     "kolmogorov_sf",
     "kolmogorov_critical",
     "ks_critical_simple",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-def ks_statistic(data, null_cdf: Callable, critical: float | None = None) -> float | np.ndarray:
+def ks_statistic(data, null_cdf: Callable, bands: tuple[np.ndarray, ...] | None = None) -> float | np.ndarray:
     """Two-sided sup gap between the empirical CDF and a hypothesized CDF.
 
     D = max_j max(j/n - F(z_(j)), F(z_(j)) - (j-1)/n) over the sorted data.
@@ -50,28 +51,27 @@ def ks_statistic(data, null_cdf: Callable, critical: float | None = None) -> flo
     rows, with the CDF evaluated once over the whole block.  NaN data
     raises ValueError.
 
-    With a critical value (> 0), each row is decided rather than measured:
-    it gives +inf where D > critical, 0.0 where D <= critical, and D itself
-    where an order statistic lies within about _BAND_MARGIN (in
-    probability) of a band bound (_band_table), so that `> critical` is the
-    same row for row as on D.  The decisions need null_cdf to be
-    non-decreasing to within _BAND_MARGIN / 2 and a number at every point,
-    as the package's CDFs are; its bands are built once per process for
-    each (null_cdf by value, n, critical).
+    With bands, ks_bands(null_cdf, n, critical) for the data's n, each row
+    is decided rather than measured: it gives +inf where D > critical, 0.0
+    where D <= critical, and D itself where an order statistic lies within
+    about _BAND_MARGIN (in probability) of a band bound, so that
+    `> critical` is the same row for row as on D.  Bands of another length
+    raise ValueError.
     """
-    x = np.sort(np.asarray(data, dtype=np.float64), axis=-1)
+    x = np.asarray(data, dtype=np.float64)
     if x.ndim not in (1, 2):
-        raise ValueError("ks_statistic takes a vector or a (B, n) block")
+        raise ValueError(f"ks_statistic takes a vector or a (B, n) block, got shape {x.shape}")
+    x = np.sort(x, axis=-1)
     if x.size == 0:
         raise ValueError("ks_statistic requires nonempty data")
     if np.isnan(x[..., -1]).any():  # np.sort puts NaN last
         raise ValueError("ks_statistic requires data without NaN")
-    if critical is None:
+    if bands is None:
         return _sup_gap(x, null_cdf)
-    if not critical > 0.0:
-        raise ValueError(f"critical must be positive, got {critical}")
     n = x.shape[-1]
-    low_reject, low_accept, high_accept, high_reject = _bands(null_cdf, n, float(critical))
+    if any(len(band) != n for band in bands):
+        raise ValueError(f"bands of length {len(bands[0])} do not fit data of n = {n}")
+    low_reject, low_accept, high_accept, high_reject = bands
     rows = x.reshape(-1, n)
     reject = ((rows <= low_reject) | (rows >= high_reject)).any(axis=-1)
     settled = reject | ((rows >= low_accept) & (rows <= high_accept)).all(axis=-1)
@@ -114,24 +114,9 @@ def _flip(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _MAGNITUDE)
 
 
-def _bands(null_cdf: Callable, n: int, critical: float) -> tuple[np.ndarray, ...]:
-    """_band_table for null_cdf, keyed by value: each chunk a worker
-    unpickles holds a new partial of the same function and spec."""
-    if isinstance(null_cdf, functools.partial):
-        key = (null_cdf.func, null_cdf.args, tuple(sorted(null_cdf.keywords.items())))
-    else:
-        key = (null_cdf, (), ())
-    try:
-        hash(key)
-    except TypeError:  # a partial over unhashable arguments builds its bands each call
-        return _band_table.__wrapped__(*key, n, critical)
-    return _band_table(*key, n, critical)
-
-
-@functools.lru_cache(maxsize=64)
-def _band_table(func: Callable, args: tuple, keywords: tuple, n: int, critical: float) -> tuple[np.ndarray, ...]:
-    """(low_reject, low_accept, high_accept, high_reject), each of length n,
-    for F = func(*args, x, **keywords).
+def ks_bands(null_cdf: Callable, n: int, critical: float) -> tuple[np.ndarray, ...]:
+    """(low_reject, low_accept, high_accept, high_reject): the KS acceptance
+    bands of null_cdf at n and a critical D > 0, read-only, each of length n.
 
     j/n - F(x_(j)) > c iff F(x_(j)) lies below about phi_j = j/n - c, and
     F(x_(j)) - (j-1)/n > c iff it lies above about psi_j = (j-1)/n + c.  So
@@ -141,9 +126,12 @@ def _band_table(func: Callable, args: tuple, keywords: tuple, n: int, critical: 
     certainly does not when every x_(j) lies in [low_accept[j],
     high_accept[j]], where phi_j + delta <= F < psi_j - delta.  A bound
     that no double in [-DBL_MAX, DBL_MAX] certifies is NaN, which no data
-    passes.
+    passes.  The decisions need null_cdf to be non-decreasing to within
+    delta / 2 and a number at every point, as the package's CDFs are.
     """
-    null_cdf = functools.partial(func, *args, **dict(keywords))
+    check_count("n", n)
+    if not critical > 0.0:
+        raise ValueError(f"critical must be positive, got {critical}")
     j = np.arange(1, n + 1, dtype=np.float64)
     phi, psi = j / n - critical, (j - 1.0) / n + critical
     targets = np.concatenate([phi - _BAND_MARGIN, phi + _BAND_MARGIN, psi - _BAND_MARGIN, psi + _BAND_MARGIN])
@@ -203,7 +191,7 @@ def kolmogorov_sf(x: float) -> float:
 def kolmogorov_critical(alpha: float) -> float:
     """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series.
 
-    Cached: a power study asks for the same alpha once per row.
+    Cached: a ks-simple study asks for one alpha twice per sample size.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
@@ -226,7 +214,7 @@ def _stephens_scale(n: int) -> float:
 
 def ks_critical_simple(n: int, alpha: float) -> float:
     """Finite-n corrected critical D for a fully specified null."""
-    if n < 1:
+    if check_count("n", n) < 1:
         raise ValueError("n must be >= 1")
     return kolmogorov_critical(alpha) / _stephens_scale(n)
 
@@ -237,9 +225,9 @@ def run_ks_test(data, null_cdf: Callable, critical: float) -> TestResult:
     The reported p-value is the asymptotic simple-null one and is only
     meaningful when critical came from ks_critical_simple.
     """
-    d = ks_statistic(data, null_cdf)
-    n = len(np.atleast_1d(np.asarray(data)))
-    return ks_decision(d, critical, kolmogorov_sf(_stephens_scale(n) * d), "ks")
+    x = check_dataset("data", data)
+    d = ks_statistic(x, null_cdf)
+    return ks_decision(d, critical, kolmogorov_sf(_stephens_scale(len(x)) * d), "ks")
 
 
 # ---------------------------------------------------------------------------

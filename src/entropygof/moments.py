@@ -18,7 +18,7 @@ import numpy as np
 
 from .maxent import solve_maxent
 from .numerics import elementwise, integrate
-from .results import TestResult, chi2_1_decision
+from .results import TestResult, check_dataset, chi2_1_decision
 from .sampling import Cauchy, Normal
 
 __all__ = [
@@ -133,5 +133,5 @@ def run_et_test(data, constraint: MomentConstraint, alpha: float = 0.05) -> Test
     constraint -- all g on one side of zero -- counts as an infinite
     statistic and hence a rejection.
     """
-    statistic = solve_maxent(constraint.values(data)).statistic
+    statistic = solve_maxent(constraint.values(check_dataset("data", data))).statistic
     return chi2_1_decision(statistic, alpha, f"et[{constraint.label}]")

@@ -24,7 +24,7 @@ import numpy as np
 from .kstest import ks_statistic
 from .maxent import solve_maxent
 from .numerics import normal_cdf
-from .results import TestResult, chi2_1_decision, ks_decision
+from .results import TestResult, check_dataset, chi2_1_decision, ks_decision
 from .sampling import DistributionSpec, Normal, SeedSpec, sample_using, spec_label, uniform_block, uniform_words
 
 __all__ = [
@@ -170,8 +170,7 @@ def run_regression_et(y, X, alpha: float = 0.05) -> TestResult:
     with zero target -> maximum entropy -> 2 n* sum pi ln(n* pi) against
     the chi-square(1) critical, where n* is the number of ratio pairs.
     """
-    fit = ols_fit(y, X)
-    z = ratio_transform(fit.residuals)
+    z = ratio_transform(ols_fit(check_dataset("y", y), X).residuals)
     return chi2_1_decision(solve_maxent(np.sin(z)).statistic, alpha, "et-regression")
 
 
@@ -188,7 +187,7 @@ def run_regression_ks(y, X, critical: float) -> TestResult:
     sample size (kstest.lilliefors_critical); with estimated parameters
     there is no closed-form p-value, so none is reported.
     """
-    return ks_decision(residual_ks_distance(y, X), critical, None, "ks-regression")
+    return ks_decision(residual_ks_distance(check_dataset("y", y), X), critical, None, "ks-regression")
 
 
 def trial_words(model: LinearModelSpec, n: int, error_process: DistributionSpec | None = None) -> int:

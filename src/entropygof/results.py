@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import chi2_1_critical, chi2_1_sf
 
 
@@ -31,6 +33,15 @@ class TestResult:
             f"decision: {'reject' if self.reject else 'do not reject'}",
         ]
         return lines
+
+
+def check_dataset(name: str, data) -> np.ndarray:
+    """data as a float64 vector: a single-dataset test takes one dataset,
+    and a scalar or a (B, n) block raises a ValueError naming its shape."""
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be one dataset, a vector, got shape {x.shape}")
+    return x
 
 
 def chi2_1_decision(statistic: float, alpha: float, method: str) -> TestResult:

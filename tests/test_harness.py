@@ -521,8 +521,8 @@ def test_block_statistic_matches_library(test, n):
     ks-regression block at the canonical null of the design (beta = 0,
     N(0, 1) errors) is the calibration trial's.  The ks-simple, et-simple
     and et-regression blocks are decided at the critical their context
-    holds, which is TestKind.critical's (kstest.ks_statistic and
-    maxent.solve_maxent with a critical): each rejects where the library's
+    holds, which is TestKind.critical's (kstest.ks_statistic with the bands
+    at it, maxent.solve_maxent with it): each rejects where the library's
     statistic does, its rows near the critical are that statistic byte for
     byte, and the same chain without the critical gives the statistic byte
     for byte."""
@@ -538,7 +538,11 @@ def test_block_statistic_matches_library(test, n):
         library = np.array([_library_statistic(test, null, alt, n, seed) for seed in seeds])
         if test != "ks-regression":
             critical = kind.critical(config, None, n)
-            assert (context[1][n] if test == "ks-simple" else context[-1]) == critical
+            if test == "ks-simple":
+                bands = ks.ks_bands(context[0], n, critical)
+                assert [band.tobytes() for band in context[1][n]] == [band.tobytes() for band in bands]
+            else:
+                assert context[-1] == critical
             assert (block > critical).tolist() == (library > critical).tolist()
             margin = (block != 0.0) & (block != math.inf)
             assert _bytes(block[margin]) == _bytes(library[margin])

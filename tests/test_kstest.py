@@ -2,7 +2,6 @@ import contextlib
 import math
 import multiprocessing
 import os
-import pickle
 import re
 from dataclasses import replace
 from functools import partial
@@ -400,15 +399,13 @@ class TestCalibrationCache:
 
 @contextlib.contextmanager
 def _band_margin(delta: float):
-    """ks._BAND_MARGIN set to delta, with no band of another margin cached."""
+    """ks._BAND_MARGIN set to delta, for the bands built inside."""
     kept = ks._BAND_MARGIN
-    ks._band_table.cache_clear()
     ks._BAND_MARGIN = delta
     try:
         yield
     finally:
         ks._BAND_MARGIN = kept
-        ks._band_table.cache_clear()
 
 
 # one or two nulls of every type a ks-simple study takes
@@ -458,27 +455,27 @@ class TestBandDecision:
         null_cdf = partial(sampling.cdf, null)
         critical = ks.ks_critical_simple(n, alpha)
         with _band_margin(delta):
-            bands = ks._bands(null_cdf, n, critical)
-            rows = []
-            for b, source in enumerate(sources):
-                x = sample(null if source is None else source, n, SeedSpec(seed, b))
-                if data.draw(st.booleans(), label="near a bound"):
-                    j = data.draw(st.integers(0, n - 1), label="j")
-                    bound = bands[data.draw(st.integers(0, 3), label="band")][j]
-                    if abs(bound) < 1e300:  # not NaN, nor a bracket end, where a CDF's scale overflows
-                        x = _near_bound(x, bound, j, data.draw(st.integers(-3, 3), label="ulps"))
-                rows.append(x)
-            block = np.array(rows)
-            exact = ks.ks_statistic(block, null_cdf)
-            decided = ks.ks_statistic(block, null_cdf, critical)
-            assert (decided > critical).tolist() == (exact > critical).tolist()
-            margin = (decided != 0.0) & (decided != math.inf)
-            assert decided[margin].tobytes() == exact[margin].tobytes()
-            vector = ks.ks_statistic(block[0], null_cdf, critical)
-            assert isinstance(vector, float) and np.float64(vector).tobytes() == decided[:1].tobytes()
-            block[-1, -1] = math.nan
-            with pytest.raises(ValueError, match="NaN"):
-                ks.ks_statistic(block, null_cdf, critical)
+            bands = ks.ks_bands(null_cdf, n, critical)
+        rows = []
+        for b, source in enumerate(sources):
+            x = sample(null if source is None else source, n, SeedSpec(seed, b))
+            if data.draw(st.booleans(), label="near a bound"):
+                j = data.draw(st.integers(0, n - 1), label="j")
+                bound = bands[data.draw(st.integers(0, 3), label="band")][j]
+                if abs(bound) < 1e300:  # not NaN, nor a bracket end, where a CDF's scale overflows
+                    x = _near_bound(x, bound, j, data.draw(st.integers(-3, 3), label="ulps"))
+            rows.append(x)
+        block = np.array(rows)
+        exact = ks.ks_statistic(block, null_cdf)
+        decided = ks.ks_statistic(block, null_cdf, bands)
+        assert (decided > critical).tolist() == (exact > critical).tolist()
+        margin = (decided != 0.0) & (decided != math.inf)
+        assert decided[margin].tobytes() == exact[margin].tobytes()
+        vector = ks.ks_statistic(block[0], null_cdf, bands)
+        assert isinstance(vector, float) and np.float64(vector).tobytes() == decided[:1].tobytes()
+        block[-1, -1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ks.ks_statistic(block, null_cdf, bands)
 
     def test_wide_margin_takes_the_exact_path(self):
         """At a margin of 0.02 the rows near the critical get D; at the
@@ -489,7 +486,8 @@ class TestBandDecision:
         exact = ks.ks_statistic(block, null_cdf)
         for delta, least in ((ks._BAND_MARGIN, 0), (0.02, 10)):
             with _band_margin(delta):
-                decided = ks.ks_statistic(block, null_cdf, critical)
+                bands = ks.ks_bands(null_cdf, 100, critical)
+            decided = ks.ks_statistic(block, null_cdf, bands)
             margin = (decided != 0.0) & (decided != math.inf)
             assert np.count_nonzero(margin) >= least
             assert decided[margin].tobytes() == exact[margin].tobytes()
@@ -503,32 +501,26 @@ class TestBandDecision:
         scaled = partial(lambda scale, x: normal_cdf(x / scale[0]), np.array([1.0]))
         for null_cdf in (_scalar_only_normal_cdf, scaled):
             exact = ks.ks_statistic(block, null_cdf)
-            decided = ks.ks_statistic(block, null_cdf, critical)
+            decided = ks.ks_statistic(block, null_cdf, ks.ks_bands(null_cdf, 10, critical))
             assert ((decided > critical) == (exact > critical)).all()
 
     def test_critical_must_be_positive(self):
         for critical in (0.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="critical"):
-                ks.ks_statistic([0.1, 0.2], normal_cdf, critical)
+                ks.ks_bands(normal_cdf, 2, critical)
 
-    def test_study_builds_each_band_once(self):
-        """A study builds one band table per sample size and reads it for
-        every block; a context a worker unpickles reads the same table."""
-        ks._band_table.cache_clear()
-        kind = hz.TEST_KINDS["ks-simple"]
-        cfg = hz.PowerStudyConfig(
-            test="ks-simple", alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 1000), trials=200
-        )
-        hz.run_power_study(cfg)
-        info = ks._band_table.cache_info()
-        assert info.misses == 2 and info.hits >= 2 * 2 * 6  # 7 blocks of up to 32 rows at n = 1000
-        kind.statistic(pickle.loads(pickle.dumps(kind.context(cfg))), Cauchy(0.0, 1.0), 25, SeedSpec(1, 0), 10)
-        assert ks._band_table.cache_info().misses == 2
+    def test_bands_must_fit_n(self):
+        """Bands built for another n raise, as a vector and as a block."""
+        bands = ks.ks_bands(normal_cdf, 3, ks.ks_critical_simple(3, 0.05))
+        for data in ([0.1, 0.2], [[0.1, 0.2, 0.3, 0.4]]):
+            with pytest.raises(ValueError, match="bands of length 3"):
+                ks.ks_statistic(data, normal_cdf, bands)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="counts builds through a forked patch")
-    def test_workers_build_each_band_once(self, monkeypatch, tmp_path):
-        """Each worker process builds a band table at most once per sample
-        size, though every chunk it runs unpickles a new partial."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bands_built_once_per_n_in_the_parent(self, monkeypatch, tmp_path, workers):
+        """A study builds the bands of each sample size once, in the process
+        that runs it; the chunks, in workers or not, only read them."""
         log = tmp_path / "builds"
         bracket = ks._bracket
 
@@ -538,14 +530,11 @@ class TestBandDecision:
             return bracket(null_cdf, p)
 
         monkeypatch.setattr(ks, "_bracket", logged)
-        ks._band_table.cache_clear()
         cfg = hz.PowerStudyConfig(
             test="ks-simple", alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 100), trials=200
         )
-        hz.run_power_study(cfg, workers=2)
-        builds = log.read_text().splitlines()
-        assert len(builds) == len(set(builds)) and {line.split()[1] for line in builds} == {"25", "100"}
-        assert str(os.getpid()) not in {line.split()[0] for line in builds}
+        hz.run_power_study(cfg, workers=workers)
+        assert sorted(log.read_text().splitlines()) == [f"{os.getpid()} 100", f"{os.getpid()} 25"]
 
 
 def test_a4_rows_do_not_depend_on_workers_blocks_or_bands(monkeypatch):
