@@ -19,7 +19,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .kstest import CalibrationCache, ks_bands, ks_critical_simple, ks_statistic, lilliefors_critical
+from .kstest import (
+    CalibrationCache,
+    check_calibration_trials,
+    ks_bands,
+    ks_critical_simple,
+    ks_statistic,
+    lilliefors_critical,
+)
 from .maxent import solve_maxent
 from .moments import null_constraint, standardize
 from .numerics import chi2_1_critical, normal_cdf
@@ -29,8 +36,9 @@ from .regression import (
     LinearModelSpec,
     ols_fit,
     ratio_transform,
+    residual_ks_distance,
     simulate_model,
-    standardized_residuals,
+    standardized_residuals,  # unused here; perfbench/study.py wraps this name
     trial_words,
 )
 from .sampling import (
@@ -75,24 +83,23 @@ class TestKind:
     """One test of a power study, defined once.
 
     nulls are the null_spec types a study of the kind accepts; a
-    regression kind takes a LinearModelSpec.  context(config) runs once per
-    study and returns what every trial reads (it travels to the workers
-    inside each chunk); statistic(context, alt, n, seed, trials) runs the
-    block of trials on streams seed.stream_id, ..., seed.stream_id + trials
-    - 1 of seed.master_seed and returns one statistic per trial;
-    critical(config, cache, n) is the critical value at sample size n,
-    taken once per n when the first row's statistics are in.  A trial
-    rejects when its statistic exceeds the critical value.  ks-simple's
-    context holds the null CDF and, per n, the bands at that critical
-    (kstest.ks_bands, built once per study), and its statistic is the
-    trial's decision against them (kstest.ks_statistic with bands): +inf,
-    0.0 or, near the critical, D itself.  The entropy kinds' contexts hold
-    the chi-square(1) critical, and their statistic is the decision at it
-    (maxent.solve_maxent with a critical): +inf, 0.0 or, near the
-    critical, the statistic itself.  A regression kind's context is (model,
-    critical), where ks-regression's critical is None: it is calibrated
-    only after the first row.  Entries call the layer functions by their
-    names in this module, so tracing that rebinds those names sees every call.
+    regression kind takes a LinearModelSpec.  critical(config, cache, n) is
+    the critical value at sample size n, the one place it is stated; a
+    trial rejects when its statistic exceeds it.
+    statistic(context, alt, n, seed, trials) runs the block of trials on
+    streams seed.stream_id, ..., seed.stream_id + trials - 1 of
+    seed.master_seed and returns one statistic per trial, reading
+    context(config, n, critical), which travels to the workers inside each
+    chunk.  One rule holds for every kind: with critical None the
+    statistics are the exact ones the library computes, and with a number
+    they are the decisions at that critical: +inf, 0.0 or, near it, the
+    exact statistic, so `> critical` counts the same trials.  The contexts
+    are (mu, sigma, constraint, critical) for et-simple, (null_cdf, bands)
+    for ks-simple, (model, critical) for et-regression and (model, bands)
+    for ks-regression, where bands is kstest.ks_bands at the critical, or
+    None; the entropy kinds decide in maxent.solve_maxent, the KS kinds in
+    kstest.ks_statistic.  Entries call the layer functions by their names
+    in this module, so tracing that rebinds those names sees every call.
     """
 
     nulls: tuple[type, ...]
@@ -106,8 +113,8 @@ class TestKind:
         return self.nulls == (LinearModelSpec,)
 
 
-def _et_simple_context(config: PowerStudyConfig):
-    return (*null_constraint(config.null_spec), chi2_1_critical(config.alpha))
+def _et_simple_context(config: PowerStudyConfig, n: int, critical: float | None):
+    return (*null_constraint(config.null_spec), critical)
 
 
 def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
@@ -116,14 +123,18 @@ def _et_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec,
     return solve_maxent(g, critical=critical).statistic
 
 
-def _ks_simple_context(config: PowerStudyConfig):
+def _bands(null_cdf: Callable, n: int, critical: float | None):
+    return None if critical is None else ks_bands(null_cdf, n, critical)
+
+
+def _ks_simple_context(config: PowerStudyConfig, n: int, critical: float | None):
     null_cdf = partial(cdf, config.null_spec)
-    return null_cdf, {n: ks_bands(null_cdf, n, ks_critical_simple(n, config.alpha)) for n in config.sample_sizes}
+    return null_cdf, _bands(null_cdf, n, critical)
 
 
 def _ks_simple_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
     null_cdf, bands = context
-    return ks_statistic(sample(alt, n, seed, trials), null_cdf, bands[n])
+    return ks_statistic(sample(alt, n, seed, trials), null_cdf, bands)
 
 
 def _et_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
@@ -134,8 +145,8 @@ def _et_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedS
 
 
 def _ks_regression_statistic(context, alt: DistributionSpec, n: int, seed: SeedSpec, trials: int):
-    y, X = simulate_model(context[0], n, seed, alt, trials)
-    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
+    model, bands = context
+    return residual_ks_distance(*simulate_model(model, n, seed, alt, trials), bands)
 
 
 def ensure_lilliefors_table(config: PowerStudyConfig, cache: CalibrationCache | None, n: int) -> float:
@@ -155,12 +166,12 @@ def _ks_simple_critical(config: PowerStudyConfig, cache, n: int) -> float:
     return ks_critical_simple(n, config.alpha)
 
 
-def _et_regression_context(config: PowerStudyConfig):
-    return config.null_spec, chi2_1_critical(config.alpha)
+def _et_regression_context(config: PowerStudyConfig, n: int, critical: float | None):
+    return config.null_spec, critical
 
 
-def _ks_regression_context(config: PowerStudyConfig):
-    return config.null_spec, None
+def _ks_regression_context(config: PowerStudyConfig, n: int, critical: float | None):
+    return config.null_spec, _bands(normal_cdf, n, critical)
 
 
 # et-simple's nulls have a CF constraint (moments.null_constraint); ks-simple's
@@ -169,8 +180,7 @@ _ET_NULLS = (Normal, Cauchy)
 _KS_NULLS = (Normal, Uniform, Exponential, Cauchy, StudentT, CenteredLogNormal)
 
 TEST_KINDS: dict[str, TestKind] = {
-    # name: TestKind(nulls, min_n, context, statistic, critical); the et-simple
-    # context holds the null's quadrature target, computed once per study
+    # name: TestKind(nulls, min_n, context, statistic, critical)
     "et-simple": TestKind(_ET_NULLS, 2, _et_simple_context, _et_simple_statistic, _chi2_critical),
     "ks-simple": TestKind(_KS_NULLS, 1, _ks_simple_context, _ks_simple_statistic, _ks_simple_critical),
     "et-regression": TestKind((LinearModelSpec,), 4, _et_regression_context, _et_regression_statistic, _chi2_critical),
@@ -204,6 +214,8 @@ class PowerStudyConfig:
             object.__setattr__(self, name, check_row_trials(name, getattr(self, name)))
         if self.trials < 100:
             raise ValueError("trials must be at least 100")
+        if self.test == "ks-regression":  # its study calibrates only after the first row's trials
+            check_calibration_trials("lilliefors_trials", self.lilliefors_trials)
         SeedSpec(self.master_seed)  # every trial stream is keyed by an unsigned 64-bit master seed
         if not self.alternatives:
             raise ValueError("at least one alternative is required")
@@ -320,7 +332,10 @@ def run_power_study(
     2**32 + trial index), so the output is identical for any worker count.
     Each n's critical value is taken once, after the first row's statistics
     are in and before that row is decided, so a study whose first row
-    raises does not calibrate first.  The trial chunks return statistics
+    raises does not calibrate first.  So the first row reads the exact
+    context, TestKind.context(config, n, None), and every later row the
+    context of its n at that n's critical, built once per n; each chunk
+    carries only its row's context.  The trial chunks return statistics
     and the decisions are made here.  Degenerate trials
     (DegenerateTrialError) are tallied per row, and a rate above 0.1%
     aborts the run; any other error propagates.
@@ -329,7 +344,8 @@ def run_power_study(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kind = TEST_KINDS[config.test]
-    context = kind.context(config)
+    first_n = config.sample_sizes[0]  # the first row's n
+    contexts = {first_n: kind.context(config, first_n, None)}
 
     rows: list[PowerRow] = []
     row_specs = [
@@ -346,7 +362,7 @@ def run_power_study(
             base = first_stream(row_idx)
             bounds = np.linspace(0, config.trials, (workers if pool else 1) + 1).astype(int)
             payloads = [
-                (config.test, alt, n, config.master_seed, base + int(lo), base + int(hi), context)
+                (config.test, alt, n, config.master_seed, base + int(lo), base + int(hi), contexts[n])
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
@@ -359,6 +375,7 @@ def run_power_study(
                 )
             if row_idx == 0:  # a study whose trials raise does so before it calibrates
                 criticals = {size: kind.critical(config, cache, size) for size in config.sample_sizes}
+                contexts = {size: kind.context(config, size, criticals[size]) for size in config.sample_sizes}
             row = PowerRow(
                 test=config.test,
                 alternative=config.row_label(alt_idx),

@@ -129,7 +129,8 @@ def ks_bands(null_cdf: Callable, n: int, critical: float) -> tuple[np.ndarray, .
     passes.  The decisions need null_cdf to be non-decreasing to within
     delta / 2 and a number at every point, as the package's CDFs are.
     """
-    check_count("n", n)
+    if check_count("n", n) < 1:
+        raise ValueError("n must be >= 1")
     if not critical > 0.0:
         raise ValueError(f"critical must be positive, got {critical}")
     j = np.arange(1, n + 1, dtype=np.float64)
@@ -191,7 +192,9 @@ def kolmogorov_sf(x: float) -> float:
 def kolmogorov_critical(alpha: float) -> float:
     """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series.
 
-    Cached: a ks-simple study asks for one alpha twice per sample size.
+    A ks-simple study asks for one alpha once per sample size, and the CLI
+    once per test.  Cached, because a call is 200 bisection steps over the
+    100-term series: a few milliseconds.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
@@ -305,6 +308,14 @@ class CalibrationCache:
             fh.write(record.encode())
 
 
+def check_calibration_trials(name: str, trials) -> int:
+    """check_row_trials of a calibration's trial count, at least 1000."""
+    trials = check_row_trials(name, trials)
+    if trials < 1000:
+        raise ValueError(f"calibration needs at least 1000 trials, got {name} = {trials}")
+    return trials
+
+
 def _critical_rank(alpha: float, trials: int) -> int:
     """The order statistic, ceil((1 - alpha) * trials), that calibrates alpha."""
     return math.ceil((1.0 - alpha) * trials)
@@ -335,9 +346,7 @@ def lilliefors_critical(
     from .regression import null_trial_ks_distance, trial_words
 
     n = check_count("n", n)
-    trials = check_row_trials("trials", trials)
-    if trials < 1000:
-        raise ValueError("calibration needs at least 1000 trials")
+    trials = check_calibration_trials("trials", trials)
     SeedSpec(master_seed)  # a float seed would share the cache records of its integer part
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")

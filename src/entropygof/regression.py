@@ -174,10 +174,15 @@ def run_regression_et(y, X, alpha: float = 0.05) -> TestResult:
     return chi2_1_decision(solve_maxent(np.sin(z)).statistic, alpha, "et-regression")
 
 
-def residual_ks_distance(y, X) -> float | np.ndarray:
+def residual_ks_distance(y, X, bands: tuple[np.ndarray, ...] | None = None) -> float | np.ndarray:
     """KS distance of the standardized least-squares residuals to N(0, 1):
-    the ks-regression statistic of one (y, X), or of each fit of a block."""
-    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf)
+    the ks-regression statistic of one (y, X), or of each fit of a block.
+
+    With bands, kstest.ks_bands(normal_cdf, n, critical), each fit is
+    decided at that critical instead (kstest.ks_statistic): +inf, 0.0, or
+    the distance itself near the critical.
+    """
+    return ks_statistic(standardized_residuals(ols_fit(y, X)), normal_cdf, bands)
 
 
 def run_regression_ks(y, X, critical: float) -> TestResult:

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import platform
 import re
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import entropygof.harness as hz
 import entropygof.kstest as ks
@@ -446,7 +447,7 @@ class TestBlockWords:
         assert stepping
         for alt in stepping:
             for n in cfg.sample_sizes:
-                lengths = _block_lengths(monkeypatch, test, alt, n, hz.TEST_KINDS[test].context(cfg))
+                lengths = _block_lengths(monkeypatch, test, alt, n, hz.TEST_KINDS[test].context(cfg, n, None))
                 assert len(lengths) > 1 and min(lengths[:-1]) >= sampling._AR_STEP_ROWS, (alt, n, lengths)
 
 
@@ -516,45 +517,79 @@ def _bytes(values) -> list[bytes]:
 @pytest.mark.parametrize("n", [25, 50, 1000])
 @pytest.mark.parametrize("test", list(hz.TEST_KINDS))
 def test_block_statistic_matches_library(test, n):
-    """A test kind's block statistic is, row for row and byte for byte, the
-    statistic of the library's single-dataset test on the same stream; the
-    ks-regression block at the canonical null of the design (beta = 0,
-    N(0, 1) errors) is the calibration trial's.  The ks-simple, et-simple
-    and et-regression blocks are decided at the critical their context
-    holds, which is TestKind.critical's (kstest.ks_statistic with the bands
-    at it, maxent.solve_maxent with it): each rejects where the library's
-    statistic does, its rows near the critical are that statistic byte for
-    byte, and the same chain without the critical gives the statistic byte
-    for byte."""
+    """On its exact context, context(config, n, None), a test kind's block
+    statistic is, row for row and byte for byte, the statistic of the
+    library's single-dataset test on the same stream; the ks-regression
+    block at the canonical null of the design (beta = 0, N(0, 1) errors) is
+    the calibration trial's.  On its context at TestKind.critical, the
+    block is decided: it rejects where the library's statistic does, and
+    its rows near the critical are that statistic byte for byte."""
     kind = hz.TEST_KINDS[test]
     null = DEFAULT_MODEL if kind.regression else Normal(0.0, 1.0)
     alts = _REGRESSION_ALTS if kind.regression else _SIMPLE_ALTS
-    config = hz.PowerStudyConfig(test=test, alternatives=alts, sample_sizes=(n,), null_spec=null)
-    context = kind.context(config)
+    config = hz.PowerStudyConfig(
+        test=test, alternatives=alts, sample_sizes=(n,), null_spec=null, lilliefors_trials=1000
+    )
+    critical = kind.critical(config, None, n)
+    exact, decided = kind.context(config, n, None), kind.context(config, n, critical)
     first = SeedSpec(2024, 3 * 2**32)
     seeds = [SeedSpec(2024, first.stream_id + t) for t in range(5)]
     for alt in alts:
-        block = kind.statistic(context, alt, n, first, len(seeds))
         library = np.array([_library_statistic(test, null, alt, n, seed) for seed in seeds])
-        if test != "ks-regression":
-            critical = kind.critical(config, None, n)
-            if test == "ks-simple":
-                bands = ks.ks_bands(context[0], n, critical)
-                assert [band.tobytes() for band in context[1][n]] == [band.tobytes() for band in bands]
-            else:
-                assert context[-1] == critical
-            assert (block > critical).tolist() == (library > critical).tolist()
-            margin = (block != 0.0) & (block != math.inf)
-            assert _bytes(block[margin]) == _bytes(library[margin])
-            if test == "ks-simple":
-                block = ks.ks_statistic(sample(alt, n, first, len(seeds)), context[0])
-            else:  # the entropy chain with solve_maxent's critical left out
-                block = kind.statistic((*context[:-1], None), alt, n, first, len(seeds))
-        assert _bytes(block) == _bytes(library)
+        assert _bytes(kind.statistic(exact, alt, n, first, len(seeds))) == _bytes(library)
+        block = kind.statistic(decided, alt, n, first, len(seeds))
+        assert (block > critical).tolist() == (library > critical).tolist()
+        margin = (block != 0.0) & (block != math.inf)
+        assert _bytes(block[margin]) == _bytes(library[margin])
     if test == "ks-regression":
-        canonical = kind.context(replace(config, null_spec=LinearModelSpec((0.0, 0.0), 1.0)))
+        canonical = kind.context(replace(config, null_spec=LinearModelSpec((0.0, 0.0), 1.0)), n, None)
         block = kind.statistic(canonical, Normal(0.0, 1.0), n, first, len(seeds))
         assert _bytes(block) == _bytes(null_trial_ks_distance(null, n, seed) for seed in seeds)
+
+
+@pytest.mark.parametrize("test", list(hz.TEST_KINDS))
+def test_payloads_carry_their_rows_context(monkeypatch, test):
+    """The first row's chunk carries the exact context of its n, and every
+    later chunk the context of its own n at that n's critical: a KS kind's
+    bands are those of its row's n alone."""
+    kind = hz.TEST_KINDS[test]
+    null = dict(null_spec=DEFAULT_MODEL, lilliefors_trials=1000) if kind.regression else {}
+    cfg = small_config(test=test, alternatives=(Normal(0, 1), Cauchy(0, 1)), sample_sizes=(25, 50), trials=100, **null)
+    payloads = []
+    run_chunk = hz._run_chunk
+
+    def recording(payload):
+        payloads.append(payload)
+        return run_chunk(payload)
+
+    monkeypatch.setattr(hz, "_run_chunk", recording)
+    hz.run_power_study(cfg)
+    criticals = {n: kind.critical(cfg, None, n) for n in cfg.sample_sizes}
+    expected = [kind.context(cfg, 25, None)] + [kind.context(cfg, n, criticals[n]) for n in (50, 25, 50)]
+    assert [payload[2] for payload in payloads] == [25, 50, 25, 50]
+    assert [pickle.dumps(payload[-1]) for payload in payloads] == [pickle.dumps(context) for context in expected]
+    if test.startswith("ks"):
+        assert payloads[0][-1][1] is None
+        assert all(len(band) == payload[2] for payload in payloads[1:] for band in payload[-1][1])
+
+
+@pytest.mark.parametrize(
+    "preset, master_seed", [pytest.param(p, seed, id=p) for p, seed in (("a3", 25), ("a4", 24), ("a5", 25), ("a6", 25))]
+)
+def test_preset_rows_do_not_depend_on_workers_blocks_or_decisions(monkeypatch, preset, master_seed):
+    """The a3-a6 studies give the same rows at workers 1 and 2, at one
+    trial per block, and with every trial's exact statistic in place of its
+    decision."""
+    cfg = table_config(preset, trials=100, master_seed=master_seed, lilliefors_trials=1000)
+    rows = hz.run_power_study(cfg).rows
+    assert hz.run_power_study(cfg, workers=2).rows == rows
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK_WORDS", 1)
+        assert hz.run_power_study(cfg).rows == rows
+    kind = hz.TEST_KINDS[cfg.test]
+    exact = replace(kind, context=lambda config, n, critical: kind.context(config, n, None))
+    monkeypatch.setitem(hz.TEST_KINDS, cfg.test, exact)
+    assert hz.run_power_study(cfg).rows == rows
 
 
 class TestCsv:
@@ -802,6 +837,9 @@ def _test_and_null(test: str):
     trials=_counts(100),
     lilliefors_trials=_counts(1000),
 )
+# a ks-regression study calibrates only after its first row; too few
+# calibration trials must fail when the config is built, not then
+@example(("ks-regression", DEFAULT_MODEL), [Normal(0.0, 1.0)], (50,), 100, 999)
 def test_config_raises_when_built_or_runs(test_and_null, alternatives, sample_sizes, trials, lilliefors_trials):
     """A config either raises ValueError when it is built or runs to a CSV
     whose trials column is an integer: no input fails inside the study."""

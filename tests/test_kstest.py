@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 import re
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -509,6 +508,11 @@ class TestBandDecision:
             with pytest.raises(ValueError, match="critical"):
                 ks.ks_bands(normal_cdf, 2, critical)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ks.ks_bands(normal_cdf, n, 0.1)
+
     def test_bands_must_fit_n(self):
         """Bands built for another n raise, as a vector and as a block."""
         bands = ks.ks_bands(normal_cdf, 3, ks.ks_critical_simple(3, 0.05))
@@ -517,8 +521,9 @@ class TestBandDecision:
                 ks.ks_statistic(data, normal_cdf, bands)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="counts builds through a forked patch")
+    @pytest.mark.parametrize("test", ["ks-simple", "ks-regression"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bands_built_once_per_n_in_the_parent(self, monkeypatch, tmp_path, workers):
+    def test_bands_built_once_per_n_in_the_parent(self, monkeypatch, tmp_path, workers, test):
         """A study builds the bands of each sample size once, in the process
         that runs it; the chunks, in workers or not, only read them."""
         log = tmp_path / "builds"
@@ -530,26 +535,10 @@ class TestBandDecision:
             return bracket(null_cdf, p)
 
         monkeypatch.setattr(ks, "_bracket", logged)
+        regression = dict(null_spec=LinearModelSpec((1.0, 5.0), 4.0), lilliefors_trials=1000)
+        null = regression if test == "ks-regression" else {}
         cfg = hz.PowerStudyConfig(
-            test="ks-simple", alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 100), trials=200
+            test=test, alternatives=(Cauchy(0.0, 1.0), StudentT(3)), sample_sizes=(25, 100), trials=200, **null
         )
         hz.run_power_study(cfg, workers=workers)
         assert sorted(log.read_text().splitlines()) == [f"{os.getpid()} 100", f"{os.getpid()} 25"]
-
-
-def test_a4_rows_do_not_depend_on_workers_blocks_or_bands(monkeypatch):
-    """The a4 study gives the same rows at workers 1 and 2, at one trial per
-    block, and with every trial's exact D in place of its decision."""
-    cfg = tables.table_config("a4", trials=100, master_seed=24)
-    rows = hz.run_power_study(cfg).rows
-    assert hz.run_power_study(cfg, workers=2).rows == rows
-    kind = hz.TEST_KINDS["ks-simple"]
-
-    def exact(context, alt, n, seed, trials):
-        return ks.ks_statistic(sample(alt, n, seed, trials), context[0])
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sampling, "_BLOCK_WORDS", 1)
-        assert hz.run_power_study(cfg).rows == rows
-    monkeypatch.setitem(hz.TEST_KINDS, "ks-simple", replace(kind, statistic=exact))
-    assert hz.run_power_study(cfg).rows == rows

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import entropygof.maxent as mx
-from entropygof import harness as hz
-from entropygof import sampling
 from entropygof.maxent import MaxEntSolution, solve_maxent
 from entropygof.maxent import _tilt
 from entropygof.moments import build_standard_normal_constraint
@@ -399,24 +396,3 @@ def test_null_calibration_converges_to_alpha():
         g = constraint.values(sample(Normal(0, 1), 500, SeedSpec(314159, t)))
         rej += solve_maxent(g).statistic > critical
     assert rej / trials == pytest.approx(0.05, abs=0.02)
-
-
-@pytest.mark.parametrize("preset", ["a3", "a5"])
-def test_a3_a5_rows_do_not_depend_on_workers_blocks_or_decisions(monkeypatch, preset):
-    """The a3 and a5 studies give the same rows at workers 1 and 2, at one
-    trial per block, and with every trial's exact statistic in place of its
-    decision."""
-    cfg = table_config(preset, trials=100, master_seed=25)
-    rows = hz.run_power_study(cfg).rows
-    assert hz.run_power_study(cfg, workers=2).rows == rows
-    kind = hz.TEST_KINDS[cfg.test]
-
-    def exact(context, alt, n, seed, trials):
-        # the context's critical is its last entry; without it the chain solves exactly
-        return kind.statistic((*context[:-1], None), alt, n, seed, trials)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sampling, "_BLOCK_WORDS", 1)
-        assert hz.run_power_study(cfg).rows == rows
-    monkeypatch.setitem(hz.TEST_KINDS, cfg.test, replace(kind, statistic=exact))
-    assert hz.run_power_study(cfg).rows == rows
