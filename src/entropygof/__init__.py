@@ -41,7 +41,6 @@ from .moments import (
 )
 from .numerics import (
     QuadratureError,
-    QuadratureSpec,
     chi2_1_critical,
     chi2_1_sf,
     erf,

@@ -133,7 +133,11 @@ def _resolve_config(text: str):
 
 
 def _run_study(config: PowerStudyConfig, args: argparse.Namespace):
-    """The study of simulate and tables: --workers, --cache and the progress lines unless --quiet."""
+    """The study of simulate and tables, once the directories of --out and
+    --svg exist: --workers, --cache and the progress lines unless --quiet."""
+    for path in (args.out, getattr(args, "svg", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise CliError(f"cannot write {path}: directory {Path(path).parent} does not exist")
     cache = CalibrationCache(args.cache) if args.cache else None
     return run_power_study(
         config, workers=args.workers, cache=cache,

@@ -334,9 +334,9 @@ def run_power_study(
     are in and before that row is decided, so a study whose first row
     raises does not calibrate first.  So the first row reads the exact
     context, TestKind.context(config, n, None), and every later row the
-    context of its n at that n's critical, built once per n; each chunk
-    carries only its row's context.  The trial chunks return statistics
-    and the decisions are made here.  Degenerate trials
+    context of its n at that n's critical, built once per n a later row
+    has; each chunk carries only its row's context.  The trial chunks
+    return statistics and the decisions are made here.  Degenerate trials
     (DegenerateTrialError) are tallied per row, and a rate above 0.1%
     aborts the run; any other error propagates.
     """
@@ -375,7 +375,8 @@ def run_power_study(
                 )
             if row_idx == 0:  # a study whose trials raise does so before it calibrates
                 criticals = {size: kind.critical(config, cache, size) for size in config.sample_sizes}
-                contexts = {size: kind.context(config, size, criticals[size]) for size in config.sample_sizes}
+                later = {size for _, _, size in row_specs[1:]}
+                contexts = {size: kind.context(config, size, criticals[size]) for size in later}
             row = PowerRow(
                 test=config.test,
                 alternative=config.row_label(alt_idx),
@@ -530,7 +531,10 @@ def load_config(path: str | Path) -> PowerStudyConfig:
 
 # optional keys that set the PowerStudyConfig field of the same name
 _FIELD_KEYS = {"alpha": float, "trials": int, "master_seed": int, "lilliefors_trials": int}
-_STUDY_KEYS = {"test", "alternatives", "sample_sizes", "labels", *_FIELD_KEYS}
+_STUDY_KEYS = {"test", "alternatives", "sample_sizes", "labels", "alpha", "trials", "master_seed"}
+# the keys only some kinds read: a regression null is a model, and ks-regression calibrates
+_KIND_KEYS = {"et-simple": {"null"}, "ks-simple": {"null"}, "et-regression": {"beta", "sigma2"},
+              "ks-regression": {"beta", "sigma2", "lilliefors_trials"}}
 _TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
@@ -554,7 +558,7 @@ def config_from_pairs(pairs: dict[str, str]) -> PowerStudyConfig:
     if test not in TEST_KINDS:
         raise ValueError(f"config field 'test' must be one of {tuple(TEST_KINDS)}")
     regression = TEST_KINDS[test].regression
-    unread = sorted(set(pairs) - _STUDY_KEYS - ({"beta", "sigma2"} if regression else {"null"}))
+    unread = sorted(set(pairs) - _STUDY_KEYS - _KIND_KEYS[test])
     if unread:
         raise ValueError(f"config keys not read by a {test} study: {', '.join(unread)}")
     kw = {key: _parse(key, pairs[key], convert) for key, convert in _FIELD_KEYS.items() if key in pairs}

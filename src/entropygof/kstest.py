@@ -192,13 +192,18 @@ def kolmogorov_sf(x: float) -> float:
 def kolmogorov_critical(alpha: float) -> float:
     """K with kolmogorov_sf(K) = alpha, by bisection on the alternating series.
 
+    Past K = 5 (alpha < 3.9e-22) the series' first term is exact to
+    rounding, so K = sqrt(ln(2 / alpha) / 2); within 1e-15 of 1 the series
+    cannot resolve 1 - alpha, so ValueError.
     A ks-simple study asks for one alpha once per sample size, and the CLI
     once per test.  Cached, because a call is 200 bisection steps over the
     100-term series: a few milliseconds.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (0.0 < alpha <= 1.0 - 1e-15):
+        raise ValueError(f"alpha must lie in (0, 1 - 1e-15], got {alpha!r}")
     lo, hi = 1e-3, 5.0
+    if alpha < kolmogorov_sf(hi):
+        return math.sqrt((math.log(2.0) - math.log(alpha)) / 2.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if kolmogorov_sf(mid) > alpha:

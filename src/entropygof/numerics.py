@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "normal_quantile",
     "chi2_1_critical",
     "chi2_1_sf",
-    "QuadratureSpec",
     "QuadratureError",
     "integrate",
 ]
@@ -334,8 +332,8 @@ def chi2_1_sf(x):
 
 def chi2_1_critical(alpha: float) -> float:
     """Critical value c with P(chi2_1 > c) = alpha; the square of z_{1-alpha/2}."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (2.0**-53 < alpha < 1.0):  # at 2**-53 and below, 1 - alpha/2 rounds to 1
+        raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha!r}")
     z = normal_quantile(1.0 - alpha / 2.0)
     return z * z
 
@@ -385,18 +383,8 @@ _WG7 = np.zeros(15)
 _WG7[1:14:2] = np.concatenate([_GK_WEIGHTS_G[:-1], _GK_WEIGHTS_G[::-1]])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute error target and interval-splitting budget for `integrate`."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 64
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+_ABS_TOL = 1e-10
+_MAX_SUBDIVISIONS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -437,15 +425,13 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     return k15, err
 
 
-def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Integrate f over [a, b] adaptively to within spec.abs_tol.
+def integrate(f: Callable, a: float, b: float) -> float:
+    """Integrate f over [a, b] adaptively to within _ABS_TOL (1e-10).
 
     The worst-error interval is bisected until the summed error estimate
-    meets the tolerance.  Exceeding spec.max_subdivisions raises
+    meets the tolerance.  Exceeding _MAX_SUBDIVISIONS (64) raises
     QuadratureError carrying the best estimate so far.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -458,12 +444,12 @@ def integrate(f: Callable, a: float, b: float, spec: QuadratureSpec | None = Non
     splits = 0
     while True:
         total_err = sum(iv[0] for iv in intervals)
-        if total_err <= spec.abs_tol:
+        if total_err <= _ABS_TOL:
             return sum(iv[3] for iv in intervals)
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"quadrature did not reach abs_tol={spec.abs_tol:g} within "
-                f"{spec.max_subdivisions} subdivisions (error ~ {total_err:.3g})",
+                f"quadrature did not reach abs_tol={_ABS_TOL:g} within "
+                f"{_MAX_SUBDIVISIONS} subdivisions (error ~ {total_err:.3g})",
                 estimate=sum(iv[3] for iv in intervals),
                 error=total_err,
             )

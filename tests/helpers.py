@@ -81,11 +81,11 @@ def _infeasible_reference(g: np.ndarray, residual: float, iterations: int = 0) -
     return MaxEntSolution(np.full(n, 1.0 / n), math.nan, math.log(n), math.inf, False, residual, iterations)
 
 
-def solve_maxent_reference(g, tol: float = 1e-10) -> MaxEntSolution:
+def solve_maxent_reference(g, tol: float = 1e-10, max_iter: int = 200) -> MaxEntSolution:
     """One vector's dual solve by the scalar algorithm that every row of the
     block solve_maxent must reproduce bit for bit: bracket doubling from
     lambda = 0, then safeguarded Newton steps with a bisection fallback,
-    at most 200 steps."""
+    at most max_iter steps."""
     g = np.asarray(g, dtype=np.float64)
     n = g.size
     scale = float(np.max(np.abs(g)))
@@ -112,14 +112,14 @@ def solve_maxent_reference(g, tol: float = 1e-10) -> MaxEntSolution:
             hi *= 2.0
             _, _, f_hi, _ = _tilt_reference(g, hi)
             iterations += 1
-            if iterations >= 200:
+            if iterations >= max_iter:
                 return _infeasible_reference(g, residual=abs(mean), iterations=iterations)
         if f_lo < 0.0:
             lo, hi = hi, lo
 
         lam = 0.5 * (lo + hi)
         pi, log_z, mean, var = _tilt_reference(g, lam)
-        while abs(mean) > abs_tol and iterations < 200:
+        while abs(mean) > abs_tol and iterations < max_iter:
             iterations += 1
             if mean > 0.0:
                 lo = lam

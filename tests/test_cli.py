@@ -216,6 +216,27 @@ class TestCmdSimulate:
         assert lines[0] == "test,alternative,n,alpha,trials,rejections,power,se"
         assert len(lines) == 1 + 36
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{cfg}", "--out", "{missing}/o.csv"],
+            ["simulate", "{cfg}", "--out", "{tmp}/o.csv", "--svg", "{missing}/o.svg"],
+            ["tables", "a1", "--out", "{missing}/o.csv"],
+        ],
+        ids=["simulate-out", "simulate-svg", "tables-out"],
+    )
+    def test_missing_output_directory_fails_before_the_study(self, tmp_path, capsys, monkeypatch, argv):
+        import entropygof.cli as cli_mod
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli_mod, "run_power_study", no_study)
+        names = {"cfg": self.write_config(tmp_path), "missing": tmp_path / "nope", "tmp": tmp_path}
+        code, _, err = run_cli(capsys, [a.format(**names) for a in argv])
+        assert code == 2
+        assert f"directory {tmp_path / 'nope'} does not exist" in err
+
 
 class TestCmdCalibrate:
     def test_prints_and_caches(self, tmp_path, capsys):

@@ -784,6 +784,7 @@ class TestConfigFile:
             ("ks-simple", {"beta": "1, 5", "sigma2": "4"}, "beta, sigma2"),
             ("et-regression", {"null": "normal:0:1"}, "null"),
             ("ks-regression", {"null": "normal:0:1", "trails": "100"}, "null, trails"),
+            ("et-simple", {"lilliefors_trials": "5000"}, "lilliefors_trials"),
         ],
     )
     def test_unread_keys(self, test, extra, unread):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -128,6 +129,26 @@ class TestCriticalValues:
     def test_sf_inverts(self):
         for alpha in (0.01, 0.05, 0.2, 0.5):
             assert ks.kolmogorov_sf(ks.kolmogorov_critical(alpha)) == pytest.approx(alpha, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [3.9e-22, 3.8e-22, 1e-30, 1e-300])
+    def test_k_alpha_in_the_far_tail(self, alpha):
+        """Past K = 5, where the bisection's bracket ends, K is the series'
+        first term inverted; the series gives alpha back on both sides of 5."""
+        k = ks.kolmogorov_critical(alpha)
+        assert k == pytest.approx(math.sqrt(math.log(2.0 / alpha) / 2.0), rel=1e-9)
+        assert ks.kolmogorov_sf(k) == pytest.approx(alpha, rel=1e-8)
+
+    def test_k_alpha_near_one(self):
+        """Down to 1 - alpha = 1e-14 K matches the Jacobi-theta form of the
+        lower tail, sqrt(2 pi)/K sum exp(-(2j - 1)**2 pi**2 / (8 K**2)); within
+        1e-15 of 1 the series cannot resolve 1 - alpha, and alpha is refused."""
+        for tail in (1e-3, 1e-8, 1e-14):
+            k = ks.kolmogorov_critical(1.0 - tail)
+            terms = (math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8 * k * k)) for j in (1, 2, 3))
+            assert math.sqrt(2.0 * math.pi) / k * sum(terms) == pytest.approx(1.0 - (1.0 - tail), rel=0.05)
+        for alpha in (1.0 - 2.0**-53, 1.0 - 2.0**-52):
+            with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0, 1 - 1e-15], got {alpha!r}")):
+                ks.kolmogorov_critical(alpha)
 
     def test_critical_simple_n100(self):
         # formula value; the classical table prints 0.13403 for this cell
@@ -542,3 +563,7 @@ class TestBandDecision:
         )
         hz.run_power_study(cfg, workers=workers)
         assert sorted(log.read_text().splitlines()) == [f"{os.getpid()} 100", f"{os.getpid()} 25"]
+        # with one alternative only the second size has a later row to read its bands
+        log.unlink()
+        hz.run_power_study(replace(cfg, alternatives=cfg.alternatives[:1]), workers=workers)
+        assert log.read_text().splitlines() == [f"{os.getpid()} 100"]

@@ -42,11 +42,12 @@ class TestSolve:
         assert not s.converged and math.isinf(s.statistic)
 
     def test_iteration_cap_reports_steps_spent(self):
-        # a tolerance no float can meet runs the iteration to its cap, which
-        # must read apart from an infeasible input, where no step is spent
-        s = solve_maxent([-1.0, 0.3, 2.0, 0.5], tol=1e-300)
+        # a cap below the 6 steps this row needs stops the iteration there,
+        # which must read apart from an infeasible input, where no step is spent
+        with mock.patch.object(mx, "_MAX_ITER", 3):
+            s = solve_maxent([-1.0, 0.3, 2.0, 0.5])
         assert not s.converged and math.isinf(s.statistic)
-        assert s.iterations == 200
+        assert s.iterations == 3
         assert solve_maxent([1.0, 2.0, 3.0]).iterations == 0
 
     def test_feasibility_margin(self):
@@ -75,8 +76,6 @@ class TestSolve:
             solve_maxent([1.0])
         with pytest.raises(ValueError):
             solve_maxent([1.0, math.nan])
-        with pytest.raises(ValueError):
-            solve_maxent([1.0, -1.0], tol=0.0)
         with pytest.raises(ValueError):
             solve_maxent(np.ones((2, 2, 2)))
         # finite, but g**2 overflows or 1 / max|g| does: outside [2**-511, 2**511]
@@ -168,25 +167,29 @@ class TestBlock:
     @given(
         n=st.sampled_from((2, 3, 4, 7, 25, 100, 10**5)),
         kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=8),
-        tol=st.sampled_from((1e-10, 1e-6, 1e-300, 1e300, math.inf)),
+        cap=st.sampled_from((mx._MAX_ITER, 1, 3)),
         exponent=st.integers(-150, 150),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_rows_match_scalar_reference(self, n, kinds, tol, exponent, seed):
+    def test_rows_match_scalar_reference(self, n, kinds, cap, exponent, seed):
+        """Rows, alone and in a block, at the shipped step cap and at caps
+        low enough that rows stop at them."""
         rng = np.random.default_rng(seed)
         if n == 10**5:
             kinds = kinds[:1]
         g = np.array([_constraint_row(kind, n, rng) for kind in kinds]) * 10.0**exponent
-        block = solve_maxent(g, tol=tol)
-        references = [solve_maxent_reference(row, tol=tol) for row in g]
+        with mock.patch.object(mx, "_MAX_ITER", cap):
+            block = solve_maxent(g)
+            alone = [(solve_maxent(row), solve_maxent(row[None])) for row in g]
+        references = [solve_maxent_reference(row, max_iter=cap) for row in g]
         assert block.iterations == sum(r.iterations for r in references)
         assert block.converged == all(r.converged for r in references)
         for j, ref in enumerate(references):
             for field in ("statistic", "lam", "log_partition", "residual", "weights"):
                 assert self._bits(getattr(block, field)[j]) == self._bits(getattr(ref, field)), field
             # alone, as a vector and as a block of one, with its own step count
-            vector, single = solve_maxent(g[j], tol=tol), solve_maxent(g[j : j + 1], tol=tol)
+            vector, single = alone[j]
             assert (vector.iterations, vector.converged) == (ref.iterations, ref.converged)
             assert (single.iterations, single.converged) == (ref.iterations, ref.converged)
             for field in ("statistic", "lam", "log_partition", "residual"):
@@ -214,10 +217,11 @@ class TestBlock:
     def test_mixed_block(self):
         # a capped row next to rows that finish at once
         g = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0], [0.5, -0.5, 1.0, -1.0], [-1.0, 0.3, 2.0, 0.5]])
-        s = solve_maxent(g, tol=1e-300)
+        with mock.patch.object(mx, "_MAX_ITER", 3):
+            s = solve_maxent(g)
         assert s.weights.shape == (4, 4) and s.statistic.shape == s.lam.shape == (4,)
         assert list(np.isinf(s.statistic)) == [False, True, False, True]
-        assert not s.converged and s.iterations == 200
+        assert not s.converged and s.iterations == 3
         assert solve_maxent(g[[0, 2]]).converged
 
 
@@ -225,22 +229,23 @@ _DUAL_ALTERNATIVES = tuple(dict.fromkeys(alt for name in ("a1", "a3") for alt in
 _DUAL_ROW_KINDS = ("alternative", "near-critical", "near-infeasible", "zero", "balanced")
 
 
-def _shifted_to(g: np.ndarray, target: float, tol: float) -> np.ndarray:
+def _shifted_to(g: np.ndarray, target: float) -> np.ndarray:
     """g + t with the exact statistic near target, by bisection on t between
     -mean(g), where the statistic is 0, and -min(g), where the constraint
-    turns infeasible; the statistic grows with t in between."""
+    turns infeasible; the statistic grows with t in between.  The statistic
+    is solve_maxent's at the mx._TOL in force."""
     base, edge = -g.mean(), -g.min()
     lo, hi = 0.0, 1.0
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if solve_maxent(g + (base + mid * (edge - base)), tol=tol).statistic < target:
+        if solve_maxent(g + (base + mid * (edge - base))).statistic < target:
             lo = mid
         else:
             hi = mid
     return g + (base + lo * (edge - base))
 
 
-def _dual_row(kind: str, n: int, critical: float, tol: float, data) -> np.ndarray:
+def _dual_row(kind: str, n: int, critical: float, data) -> np.ndarray:
     if kind == "zero":
         return np.zeros(n)
     if kind == "balanced":  # met at lambda = 0: the tilted mean starts at 0
@@ -250,7 +255,7 @@ def _dual_row(kind: str, n: int, critical: float, tol: float, data) -> np.ndarra
     g = build_standard_normal_constraint().values(sample(alt, n, SeedSpec(data.draw(st.integers(0, 2**32)), 0)))
     if kind == "near-critical":
         sign = data.draw(st.sampled_from((-1.0, 1.0)), label="side")
-        g = _shifted_to(g, critical + sign * 10.0 ** data.draw(st.floats(-9.0, -3.0), label="log10 gap"), tol)
+        g = _shifted_to(g, critical + sign * 10.0 ** data.draw(st.floats(-9.0, -3.0), label="log10 gap"))
     elif kind == "near-infeasible":
         g = g - g.min()
         g[np.argmin(g)] = -data.draw(st.sampled_from((2e-14, 1e-10, 1e-6)), label="across") * g.max()
@@ -279,30 +284,35 @@ class TestDualDecision:
         that statistic byte for byte.  Rows come from a1/a3 alternatives, some
         shifted to within 1e-9 to 1e-3 of the critical or to just across
         infeasibility, or are all-zero or solved at lambda = 0; some are
-        scaled to max |g_j| near 2**511 or 2**-511."""
+        scaled to max |g_j| near 2**511 or 2**-511.  The solver's tolerance
+        is the shipped one or a coarse one."""
         critical = chi2_1_critical(alpha)
-        block = np.array([_dual_row(kind, n, critical, tol, data) for kind in kinds])
-        exact = solve_maxent(block, tol=tol).statistic
-        with mock.patch.object(mx, "_DECISION_MARGIN", delta):
-            decided = solve_maxent(block, tol=tol, critical=critical).statistic
-            vector = solve_maxent(block[0], tol=tol, critical=critical).statistic
+        with mock.patch.object(mx, "_TOL", tol):
+            block = np.array([_dual_row(kind, n, critical, data) for kind in kinds])
+            exact = solve_maxent(block).statistic
+            with mock.patch.object(mx, "_DECISION_MARGIN", delta):
+                decided = solve_maxent(block, critical=critical).statistic
+                vector = solve_maxent(block[0], critical=critical).statistic
         assert (decided > critical).tolist() == (exact > critical).tolist()
         margin = (decided != 0.0) & (decided != math.inf)
         assert decided[margin].tobytes() == exact[margin].tobytes()
         assert isinstance(vector, float) and np.float64(vector).tobytes() == decided[:1].tobytes()
 
     def test_slack_covers_the_last_step(self):
-        """At tol = 1e-4 these rows' statistics lie 1e-6 above the critical
+        """At _TOL = 1e-4 these rows' statistics lie 1e-6 above the critical
         while 2n sup f lies up to 1e-3 below it: the exact iteration stops
-        where the tilted mean is within tol, and its statistic moves with
+        where the tilted mean is within _TOL, and its statistic moves with
         that last step.  Each row still rejects."""
         critical = chi2_1_critical(0.05)
         constraint = build_standard_normal_constraint()
         rows = [constraint.values(sample(Normal(0.4, 1.0), 25, SeedSpec(seed, 0))) for seed in range(5)]
-        block = np.array([_shifted_to(g, critical + 1e-6, 1e-4) for g in rows])
-        exact, supremum = solve_maxent(block, tol=1e-4).statistic, solve_maxent(block, tol=1e-15).statistic
+        with mock.patch.object(mx, "_TOL", 1e-4):
+            block = np.array([_shifted_to(g, critical + 1e-6) for g in rows])
+            exact = solve_maxent(block).statistic
+            decided = solve_maxent(block, critical=critical).statistic
+        with mock.patch.object(mx, "_TOL", 1e-15):
+            supremum = solve_maxent(block).statistic
         assert (exact > critical).all() and (supremum < critical - 1e-5).all()
-        decided = solve_maxent(block, tol=1e-4, critical=critical).statistic
         assert (decided > critical).all()
 
     def test_wide_margin_takes_the_exact_path(self):

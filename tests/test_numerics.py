@@ -1,5 +1,7 @@
 import math
+import re
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -232,6 +234,11 @@ class TestChiSquare1:
         for alpha in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError):
                 nm.chi2_1_critical(alpha)
+        # where 1 - alpha/2 rounds to 1 the error names alpha, not the quantile's p
+        for alpha in (2.0**-53, 1e-17, 1e-100, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (2**-53, 1), got {alpha!r}")):
+                nm.chi2_1_critical(alpha)
+        assert nm.chi2_1_sf(nm.chi2_1_critical(2.3e-16)) == pytest.approx(2.3e-16, rel=0.5)
 
     def test_sf_squared_normal_identity(self):
         # P(chi2_1 > x) = 2(1 - Phi(sqrt(x))) -- independent series route
@@ -270,16 +277,13 @@ class TestQuadrature:
 
     def test_budget_exhaustion(self):
         jittery = lambda t: np.sin(200.0 / (np.abs(t) + 1e-3))  # noqa: E731
-        with pytest.raises(nm.QuadratureError) as err:
-            nm.integrate(jittery, -1, 1, nm.QuadratureSpec(abs_tol=1e-12, max_subdivisions=3))
+        with mock.patch.object(nm, "_ABS_TOL", 1e-12), mock.patch.object(nm, "_MAX_SUBDIVISIONS", 3):
+            with pytest.raises(nm.QuadratureError) as err:
+                nm.integrate(jittery, -1, 1)
         assert math.isfinite(err.value.estimate)
         assert err.value.error > 1e-12
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(max_subdivisions=0)
         with pytest.raises(ValueError):
             nm.integrate(lambda t: t, 1.0, -1.0)
         with pytest.raises(ValueError):
